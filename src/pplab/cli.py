@@ -324,6 +324,16 @@ def _ok(flag: bool) -> str:
     return "ok" if flag else "FAIL"
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, ranges: bool = False) -> None:
     if ranges:
         parser.add_argument("--N", type=int, nargs="+", default=None, help="ambient dimensions")
@@ -333,9 +343,9 @@ def _add_common(parser: argparse.ArgumentParser, ranges: bool = False) -> None:
         parser.add_argument("--N", type=int, required=True, help="ambient dimension")
         parser.add_argument("--n", type=int, required=True, help="line bundle degree")
         parser.add_argument("--k", type=int, required=True, help="jet order")
-    parser.add_argument("--trials", type=int, default=100, help="random stabilizer trials")
+    parser.add_argument("--trials", type=_positive_int, default=100, help="random stabilizer trials")
     parser.add_argument("--seed", type=int, default=0, help="random seed (PPLAB_SEED overrides)")
-    parser.add_argument("--height", type=int, default=3, help="entry bound for random elements")
+    parser.add_argument("--height", type=_positive_int, default=3, help="entry bound for random elements")
     parser.add_argument("--output", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None, help="write the report to this path")
     parser.add_argument("--verbose", action="store_true", help="embed full matrices in JSON reports")

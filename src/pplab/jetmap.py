@@ -55,7 +55,10 @@ def jet_basis(N: int, k: int) -> JetBasis:
         else:
             indices.extend(monomial_basis(N - 1, d).monomials)
     jb = JetBasis(N, k, tuple(indices))
-    assert len(jb) == binomial(k + N, N)
+    if len(jb) != binomial(k + N, N):
+        raise ArithmeticError(
+            f"jet basis has {len(jb)} multi-indices, expected {binomial(k + N, N)}"
+        )
     return jb
 
 
@@ -162,53 +165,43 @@ def _trial_checks(
 
     With the inverse of g cleared to integer rows B/c, the degree-d action is
     the integer substitution matrix divided by c^d, so both intertwiner
-    identities reduce to integer matrix equalities after cross-multiplying by
-    the single rational r = (c/a)^(n-k). Checking the full derivative-map
-    identity also exercises the block-triangularity of the degree-n action
-    (images of small-x_0 monomials must stay in the small-x_0 span).
+    identities reduce to integer equalities after cross-multiplying by the
+    single rational r = (c/a)^(n-k).
+
+    The derivative map reads only the degree-n monomials of x_0-exponent
+    >= n-k (the section, the first dim_k of the basis, aligned
+    index-for-index with the degree-k basis), so the images are expanded
+    modulo (x_1, ..., x_N)^(k+1): a truncated degree-n image has keys in the
+    section only, and degree-k images are untouched. quot_ok compares, column
+    by column, the image of each section monomial with p * ff[col] times the
+    degree-k image. phi_ok adds the block-triangularity of the degree-n
+    action: every monomial outside the section must have an empty truncated
+    image, i.e. stay in the small-x_0 span.
     """
     basis_n = monomial_basis(N, n)
     basis_k = monomial_basis(N, k)
-    dim_n, dim_k = len(basis_n), len(basis_k)
+    dim_k = len(basis_k)
     b_rows, c = _scaled_inverse_rows(g)
-    levels = _substitution_images(b_rows, N, n)
+    levels = _substitution_images(b_rows, N, n, k)
     img_n, img_k = levels[n], levels[k]
     r = (Fraction(c) / g.parabolic_scalar) ** (n - k)
     p, q = r.numerator, r.denominator
 
-    # a_k[row][col] over degree-k monomials.
-    a_k = [[0] * dim_k for _ in range(dim_k)]
-    for col, mono in enumerate(basis_k):
-        img = img_k[mono]
-        for m2, coeff in img.items():
-            a_k[basis_k.index_of(m2)][col] = coeff
-
-    phi_ok = True
-    # The first dim_k degree-n monomials are exactly those with x_0-exponent
-    # >= n-k, aligned index-for-index with the degree-k basis.
-    section = basis_n.monomials[:dim_k]
-    for col, mono in enumerate(basis_n):
-        img = img_n[mono]
-        for row in range(dim_k):
-            lhs = q * ff[row] * img.get(section[row], 0)
-            rhs = p * a_k[row][col] * ff[col] if col < dim_k else 0
-            if lhs != rhs:
-                phi_ok = False
-                break
-        if not phi_ok:
-            break
-
     quot_ok = True
-    for col in range(dim_k):
-        img = img_n[section[col]]
-        for row in range(dim_k):
-            lhs = q * ff[row] * img.get(section[row], 0)
-            rhs = p * a_k[row][col] * ff[col]
-            if lhs != rhs:
-                quot_ok = False
-                break
-        if not quot_ok:
+    for col, mono in enumerate(basis_k):
+        lhs = {}
+        for m2, coeff in img_n[basis_n.monomials[col]].items():
+            row = basis_n.index_of(m2)
+            if ff[row]:
+                lhs[row] = q * ff[row] * coeff
+        rhs = {}
+        if ff[col]:
+            for m2, coeff in img_k[mono].items():
+                rhs[basis_k.index_of(m2)] = p * ff[col] * coeff
+        if lhs != rhs:
+            quot_ok = False
             break
+    phi_ok = quot_ok and not any(img_n[mono] for mono in basis_n.monomials[dim_k:])
     return phi_ok, quot_ok
 
 

@@ -151,16 +151,31 @@ class RationalMatrix:
         return Fraction(sign * work[n - 1][n - 1]) / scale
 
     def inverse(self) -> "RationalMatrix":
+        """Exact inverse by Gauss-Jordan elimination on [self | I].
+
+        Works on Fraction rows directly and touches only the nonzero entries
+        of each pivot row; the matrices inverted here are small and sparse.
+        """
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = RationalMatrix.from_rows(
-            [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        )
-        red = rref(aug)
-        if red.rank < n or red.pivots[:n] != tuple(range(n)):
-            raise ValueError("matrix is singular")
-        return RationalMatrix.from_rows([red.matrix.row(i)[n:] for i in range(n)])
+        one, zero = Fraction(1), Fraction(0)
+        aug = [list(self.row(i)) + [one if i == j else zero for j in range(n)] for i in range(n)]
+        for c in range(n):
+            piv_row = next((i for i in range(c, n) if aug[i][c]), None)
+            if piv_row is None:
+                raise ValueError("matrix is singular")
+            aug[c], aug[piv_row] = aug[piv_row], aug[c]
+            scale = 1 / aug[c][c]
+            pivot = aug[c] = [x * scale if x else x for x in aug[c]]
+            support = [j for j in range(c, 2 * n) if pivot[j]]
+            for i in range(n):
+                f = aug[i][c]
+                if f and i != c:
+                    row = aug[i]
+                    for j in support:
+                        row[j] -= f * pivot[j]
+        return RationalMatrix(n, n, tuple(x for row in aug for x in row[n:]))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
@@ -272,12 +287,6 @@ class Subspace:
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, RationalMatrix.zero(0, ambient_dim))
-
-    def contains_vector(self, vec: Sequence[Scalar]) -> bool:
-        extended = Subspace.from_vectors(
-            [list(self.basis.row(i)) for i in range(self.dim)] + [list(vec)], self.ambient_dim
-        )
-        return extended.dim == self.dim
 
 
 def subspace_equal(a: Subspace, b: Subspace) -> bool:

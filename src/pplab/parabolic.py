@@ -126,17 +126,27 @@ def _scaled_inverse_rows(g: GroupElement) -> tuple[list[list[int]], int]:
 
 
 def _substitution_images(
-    b_rows: list[list[int]], N: int, max_degree: int
+    b_rows: list[list[int]], N: int, max_degree: int, max_tail: int | None = None
 ) -> list[dict[MultiIndex, dict[MultiIndex, int]]]:
     """Images of all monomials of degree <= max_degree under x_i -> row_i(b).
 
     Integer arithmetic throughout; index d of the returned list maps each
     degree-d monomial to the expanded image polynomial as a sparse dict.
+
+    With max_tail set, every term whose x_1..x_N-degree exceeds it is dropped
+    as soon as it appears, so the images are taken modulo the ideal
+    (x_1, ..., x_N)^(max_tail+1). That ideal is graded and the quotient map
+    is a ring homomorphism, so truncating each factor of a product gives the
+    truncation of the product, whatever the substitution; a degree-d image
+    keeps exactly its terms of x_0-exponent >= d - max_tail.
     """
     forms = [[(j, c) for j, c in enumerate(row) if c] for row in b_rows]
+    heads = [[(j, c) for j, c in form if j == 0] for form in forms]
     zero_mono = (0,) * (N + 1)
     levels: list[dict[MultiIndex, dict[MultiIndex, int]]] = [{zero_mono: {zero_mono: 1}}]
     for d in range(1, max_degree + 1):
+        # A term of x_0-exponent below `floor` may only gain more x_0.
+        floor = 0 if max_tail is None else d - max_tail
         level: dict[MultiIndex, dict[MultiIndex, int]] = {}
         for mono in monomial_basis(N, d):
             var = next(i for i, e in enumerate(mono) if e)
@@ -144,7 +154,7 @@ def _substitution_images(
             base = levels[d - 1][parent]
             acc: dict[MultiIndex, int] = {}
             for m2, coeff in base.items():
-                for j, c in forms[var]:
+                for j, c in forms[var] if m2[0] >= floor else heads[var]:
                     key = m2[:j] + (m2[j] + 1,) + m2[j + 1 :]
                     acc[key] = acc.get(key, 0) + coeff * c
             level[mono] = {m: v for m, v in acc.items() if v}

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from .linalg import RationalMatrix, Scalar, Subspace, _frac
+from .linalg import Scalar, Subspace, _frac
 
 MultiIndex = tuple[int, ...]
 
@@ -71,7 +71,10 @@ def monomial_basis(N: int, n: int) -> MonomialBasis:
         raise ValueError("degree must be nonnegative")
     monos = tuple(_compositions_desc(n, N + 1))
     basis = MonomialBasis(N + 1, n, monos)
-    assert len(basis) == binomial(n + N, N)
+    if len(basis) != binomial(n + N, N):
+        raise ArithmeticError(
+            f"enumerated {len(basis)} degree-{n} monomials, expected {binomial(n + N, N)}"
+        )
     return basis
 
 
@@ -85,7 +88,8 @@ def dim_sym(N: int, n: int) -> int:
         raise ValueError("require N >= 1 and n >= 0")
     by_sum = sum(binomial(i + N - 1, N - 1) for i in range(n + 1))
     closed = binomial(n + N, N)
-    assert by_sum == closed, f"dimension formulas disagree: {by_sum} != {closed}"
+    if by_sum != closed:
+        raise ArithmeticError(f"dimension formulas disagree: {by_sum} != {closed}")
     return closed
 
 
@@ -112,7 +116,9 @@ def m_power_subspace(N: int, n: int, k: int) -> Subspace:
             v[idx] = Fraction(1)
             vectors.append(v)
     sub = Subspace.from_vectors(vectors, ambient)
-    assert sub.dim == sum(binomial(i + N - 1, N - 1) for i in range(k + 1, n + 1))
+    expected = sum(binomial(i + N - 1, N - 1) for i in range(k + 1, n + 1))
+    if sub.dim != expected:
+        raise ArithmeticError(f"small-x_0 subspace has dimension {sub.dim}, expected {expected}")
     return sub
 
 
@@ -205,10 +211,3 @@ def partial_derivative(f: PolyVector, var: int) -> PolyVector:
         lowered = mono[:var] + (mono[var] - 1,) + mono[var + 1 :]
         out[target.index_of(lowered)] += c * mono[var]
     return PolyVector(target, tuple(out))
-
-
-def apply_matrix(m: RationalMatrix, f: PolyVector, target: MonomialBasis) -> PolyVector:
-    """Apply a coefficient-space matrix (columns indexed by f's basis)."""
-    if m.cols != len(f.basis) or m.rows != len(target):
-        raise ValueError("matrix shape does not match the bases")
-    return PolyVector(target, m.mat_vec(f.coeffs))

@@ -40,6 +40,22 @@ def test_unknown_command_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["verify-theorem", "--N", "1", "--n", "3", "--k", "1"],
+    ["sweep", "--N", "1", "--n", "2"],
+])
+@pytest.mark.parametrize("flag,value", [
+    ("--trials", "0"), ("--trials", "-3"), ("--height", "0"), ("--height", "x"),
+])
+def test_nonpositive_trials_or_height_is_usage_error(capsys, command, flag, value):
+    # Exit 1 is reserved for counterexamples; a bad trial input must not
+    # reach the checks, and zero trials must not pass vacuously.
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_empty_sweep_range_is_usage_error(capsys):
     code, _, err = run(capsys, "sweep", "--n", "1", "--trials", "1")
     assert code == 2

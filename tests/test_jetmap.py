@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from pplab.jetmap import (
+    _falling_factorial,
+    _trial_checks,
     exact_sequence_check,
     jet_basis,
     taylor_fiber_matrix,
@@ -13,6 +16,7 @@ from pplab.jetmap import (
 )
 from pplab.linalg import RationalMatrix, kernel_basis, rref, subspace_equal
 from pplab.parabolic import (
+    GroupElement,
     chi,
     is_equivariant,
     random_parabolic,
@@ -135,8 +139,6 @@ def test_phi_is_equivariant_matrix_identity():
 
 
 def test_phi_equivariance_at_identity_is_trivial():
-    from pplab.parabolic import GroupElement
-
     for (N, n, k) in [(1, 2, 1), (2, 3, 2)]:
         phi = x0_derivative_matrix(N, n, k)
         g = GroupElement.identity(N)
@@ -189,9 +191,7 @@ def test_verify_jet_representation_deterministic():
 def test_fast_path_agrees_with_matrix_path():
     # The integer trial checks inside verify_jet_representation must agree
     # with the public fraction-matrix equivariance test on the same elements.
-    from pplab.jetmap import _falling_factorial, _trial_checks
-
-    for (N, n, k) in [(1, 3, 1), (2, 3, 1), (2, 3, 2)]:
+    for (N, n, k) in [(1, 3, 1), (2, 3, 1), (2, 3, 2), (3, 3, 1), (3, 4, 2)]:
         phi = x0_derivative_matrix(N, n, k)
         src = sym_rep(N, n)
         dst = target_rep(N, n, k)
@@ -202,3 +202,36 @@ def test_fast_path_agrees_with_matrix_path():
             fast_phi, fast_quot = _trial_checks(g, N, n, k, ff)
             assert fast_phi == is_equivariant(phi, src, dst, g)
             assert fast_quot  # implied by the full identity here
+
+
+def test_trial_checks_reject_off_by_one_falling_factorials():
+    # Shifting every falling factorial by one changes the ratios
+    # ff[row] / ff[col] that the off-diagonal entries of the action must
+    # satisfy; a diagonal element would not notice, so the first row is full.
+    for (N, n, k) in [(1, 3, 1), (2, 4, 2), (3, 4, 1)]:
+        rows = [[Fraction(int(i == j)) for j in range(N + 1)] for i in range(N + 1)]
+        rows[0] = [Fraction(2)] + [Fraction(1)] * N
+        rows[1][1] = Fraction(1, 2)
+        g = GroupElement(RationalMatrix.from_rows(rows), Fraction(2))
+        basis_k = monomial_basis(N, k)
+        for shift in (-1, 1):
+            ff = [_falling_factorial(m[0] + (n - k) + shift, n - k) for m in basis_k]
+            assert _trial_checks(g, N, n, k, ff) == (False, False), (N, n, k, shift)
+
+
+def test_trial_checks_reject_an_element_that_moves_the_line():
+    # First column (1, 1, 0, ...): the element does not fix the base point,
+    # so the small-x_0 span is not invariant. GroupElement refuses such a
+    # matrix as a stabilizer, so it is passed as a bare (mat, scalar) record.
+    for (N, n, k) in [(1, 3, 1), (2, 3, 2), (3, 4, 2)]:
+        rows = [[int(i == j) for j in range(N + 1)] for i in range(N + 1)]
+        rows[1][0] = 1
+        g = SimpleNamespace(mat=RationalMatrix.from_rows(rows), parabolic_scalar=Fraction(1))
+        basis_k = monomial_basis(N, k)
+        ff = [_falling_factorial(m[0] + (n - k), n - k) for m in basis_k]
+        phi_ok, _ = _trial_checks(g, N, n, k, ff)
+        assert not phi_ok, (N, n, k)
+        # The block-triangularity half of phi_ok is computed on its own: with
+        # an all-zero list the section comparison passes vacuously, and only
+        # the images of the small-x_0 monomials can fail the element.
+        assert _trial_checks(g, N, n, k, [0] * len(ff)) == (False, True), (N, n, k)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -163,9 +164,37 @@ def test_matmul_and_inverse_roundtrip():
     assert m @ m.inverse() == RationalMatrix.identity(2)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_inverse_is_two_sided(n):
+    rng = random.Random(n)
+    cases = []
+    while len(cases) < 10:
+        m = RationalMatrix.from_rows(
+            [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        )
+        if m.det() != 0:
+            cases.append(m)
+    # Lower anti-triangular: only the last row has a nonzero leading entry,
+    # so elimination has to swap rows before its first pivot.
+    cases.append(
+        RationalMatrix.from_rows(
+            [[i + j + 1 if i + j >= n - 1 else 0 for j in range(n)] for i in range(n)]
+        )
+    )
+    identity = RationalMatrix.identity(n)
+    for m in cases:
+        inv = m.inverse()
+        assert m @ inv == identity == inv @ m
+
+
 def test_inverse_of_singular_raises():
     with pytest.raises(ValueError):
         RationalMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+    with pytest.raises(ValueError):
+        # Zero leading entry, and the third row is the sum of the first two.
+        RationalMatrix.from_rows([[0, 1, 2], [1, 1, 1], [1, 2, 3]]).inverse()
+    with pytest.raises(ValueError):
+        RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0]]).inverse()
 
 
 def test_det_small_cases():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from pplab.linalg import RationalMatrix, Subspace, subspace_equal
 from pplab.parabolic import (
     GroupElement,
+    _substitution_images,
     chi,
     dual_action_matrix,
     is_equivariant,
@@ -93,6 +95,24 @@ def test_sym_action_is_a_homomorphism_both_orders():
             for n in (2, 3):
                 assert sym_action(g @ h, n) == sym_action(g, n) @ sym_action(h, n)
                 assert sym_action(h @ g, n) == sym_action(h, n) @ sym_action(g, n)
+
+
+def test_truncated_substitution_images_are_restrictions():
+    # Truncation modulo (x_1, ..., x_N)^(max_tail+1) must commute with the
+    # expansion for any substitution, not only stabilizer-shaped ones.
+    rng = random.Random(21)
+    for N in (1, 2, 3):
+        for _ in range(3):
+            rows = [[rng.randint(-3, 3) for _ in range(N + 1)] for _ in range(N + 1)]
+            rows[rng.randint(1, N)][0] = rng.choice((-2, -1, 1, 2))
+            full = _substitution_images(rows, N, 5)
+            for max_tail in range(6):
+                cut = _substitution_images(rows, N, 5, max_tail)
+                for d in range(6):
+                    assert cut[d] == {
+                        mono: {m: c for m, c in image.items() if m[0] >= d - max_tail}
+                        for mono, image in full[d].items()
+                    }, (N, rows, max_tail, d)
 
 
 def test_chi_values():

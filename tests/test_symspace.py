@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pplab
 from pplab.linalg import Subspace
 from pplab.symspace import (
     MonomialBasis,
@@ -36,6 +42,33 @@ def test_basis_is_descending_lex_without_duplicates():
             assert len(set(monos)) == len(monos)
             assert list(monos) == sorted(monos, reverse=True)
             assert all(sum(m) == n for m in monos)
+
+
+def test_basis_count_check_survives_optimize_flag():
+    # The enumeration cross-check is verification, so it must not be an
+    # assert: run under `python -O` with one monomial dropped and expect a raise.
+    script = textwrap.dedent(
+        """
+        from pplab import symspace
+
+        assert False, "asserts are live: not running under -O"
+        monos = list(symspace._compositions_desc(3, 3))
+        symspace._compositions_desc = lambda total, parts: iter(monos[:-1])
+        try:
+            symspace.monomial_basis(2, 3)
+        except ArithmeticError as exc:
+            print("raised:", exc)
+        else:
+            print("accepted a basis with a missing monomial")
+        """
+    )
+    src = str(Path(pplab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised:"), proc.stdout
 
 
 def test_dim_sym_values():
