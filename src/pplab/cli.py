@@ -2,7 +2,9 @@
 reports, and a CI-friendly exit-code contract.
 
 Exit codes: 0 when every requested check passes, 1 when a mathematical
-counterexample is found, 2 on usage or parameter errors. Reports are
+counterexample is found, 2 on usage or parameter errors, 3 on an internal
+error (any other exception; one `internal error:` line on stderr, no
+traceback), so that a crash never reads as a counterexample. Reports are
 deterministic for a fixed configuration and seed; only the elapsed_ms field
 varies between runs. The environment variable PPLAB_SEED, when set, overrides
 the --seed flag.
@@ -29,6 +31,7 @@ from .jetmap import x0_derivative_matrix
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 DEFAULT_SWEEP_N = (1, 2, 3)
 DEFAULT_SWEEP_DEGREES = (2, 3, 4, 5)
@@ -304,18 +307,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ParameterError("sweep ranges must be nonempty")
     if any(N < 1 for N in n_values):
         raise ParameterError("all N values must be at least 1")
-    triples = [
-        (N, n, k)
-        for N in n_values
-        for n in degree_values
-        for k in range(1, n)
-        if args.k is None or k in args.k
-    ]
-    if not triples:
-        raise ParameterError("sweep ranges contain no (N, n, k) with 1 <= k < n")
     report = run_sweep(
         n_values, degree_values, args.k, args.trials, args.seed, args.height
     )
+    if not report["results"]:
+        raise ParameterError("sweep ranges contain no (N, n, k) with 1 <= k < n")
     _emit(report, args, _sweep_text(report))
     return EXIT_PASS if report["overall_pass"] else EXIT_COUNTEREXAMPLE
 
@@ -401,6 +397,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

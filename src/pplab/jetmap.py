@@ -215,9 +215,12 @@ def verify_jet_representation(
     the rank of the derivative map, and then for `trials` random stabilizer
     elements that the derivative map intertwines the degree-n action with the
     twisted degree-k action and that the induced map on the monomial section
-    (x_0-exponent >= n-k) is an invertible intertwiner.
+    (x_0-exponent >= n-k) is an invertible intertwiner. Raises ValueError
+    when `trials` is below 1, which would pass with no equivariance evidence.
     """
     _check_jet_params(N, n, k)
+    if trials < 1:
+        raise ValueError(f"require trials >= 1, got trials={trials}")
     phi = x0_derivative_matrix(N, n, k)
     sub = m_power_subspace(N, n, k)
     ker_phi = kernel_basis(phi)

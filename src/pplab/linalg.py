@@ -1,16 +1,19 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-All entries are `fractions.Fraction`; there are no floats and no tolerances
-anywhere. Matrices and subspaces are immutable after construction, so values
-can be shared freely between threads.
+Matrices are stored dense; every elimination (reduced row-echelon form,
+kernels, determinants, inverses) runs through one sparse Gauss-Jordan core
+on {column: value} rows, because the matrices pplab eliminates are scaled
+selections or nearly so. All entries are `fractions.Fraction`; there are no
+floats and no tolerances anywhere. Matrices and subspaces are immutable
+after construction, so values can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from math import prod
+from typing import Iterable, Sequence
 
 Scalar = int | Fraction
 
@@ -121,81 +124,94 @@ class RationalMatrix:
         return all(x == 0 for x in self.entries)
 
     def det(self) -> Fraction:
-        """Exact determinant by fraction-free elimination."""
+        """Exact determinant: the signed product of the raw pivots of the
+        sparse elimination core."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        work, scale = _integer_rows(self)
-        sign = 1
-        prev = 1
-        for c in range(n):
-            piv_row = None
-            for i in range(c, n):
-                if work[i][c] != 0:
-                    piv_row = i
-                    break
-            if piv_row is None:
-                return Fraction(0)
-            if piv_row != c:
-                work[c], work[piv_row] = work[piv_row], work[c]
-                sign = -sign
-            piv = work[c][c]
-            for i in range(c + 1, n):
-                ri, rc = work[i], work[c]
-                f = ri[c]
-                for j in range(c, n):
-                    ri[j] = (piv * ri[j] - f * rc[j]) // prev
-            prev = piv
-        return Fraction(sign * work[n - 1][n - 1]) / scale
+        pivots, leads = _eliminate(_sparse_rows(self))
+        if len(pivots) < self.rows:
+            return Fraction(0)
+        # Row i ends up leading at column cols[i]; sorting the rows by that
+        # column gives a triangular matrix, at the sign of the permutation.
+        cols = list(pivots)
+        inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :])
+        return prod(leads, start=Fraction(-1 if inversions % 2 else 1))
 
     def inverse(self) -> "RationalMatrix":
-        """Exact inverse by Gauss-Jordan elimination on [self | I].
-
-        Works on Fraction rows directly and touches only the nonzero entries
-        of each pivot row; the matrices inverted here are small and sparse.
-        """
+        """Exact inverse: the reduced form of [self | I] is [I | inverse]."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        one, zero = Fraction(1), Fraction(0)
-        aug = [list(self.row(i)) + [one if i == j else zero for j in range(n)] for i in range(n)]
-        for c in range(n):
-            piv_row = next((i for i in range(c, n) if aug[i][c]), None)
-            if piv_row is None:
-                raise ValueError("matrix is singular")
-            aug[c], aug[piv_row] = aug[piv_row], aug[c]
-            scale = 1 / aug[c][c]
-            pivot = aug[c] = [x * scale if x else x for x in aug[c]]
-            support = [j for j in range(c, 2 * n) if pivot[j]]
-            for i in range(n):
-                f = aug[i][c]
-                if f and i != c:
-                    row = aug[i]
-                    for j in support:
-                        row[j] -= f * pivot[j]
-        return RationalMatrix(n, n, tuple(x for row in aug for x in row[n:]))
+        aug = _sparse_rows(self)
+        for i, row in enumerate(aug):
+            row[n + i] = Fraction(1)
+        pivots, _ = _eliminate(aug, reduced=True)
+        if any(c >= n for c in pivots):
+            raise ValueError("matrix is singular")
+        zero = Fraction(0)
+        return RationalMatrix(
+            n, n, tuple(pivots[i].get(n + j, zero) for i in range(n) for j in range(n))
+        )
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
 
-def _integer_rows(m: RationalMatrix) -> tuple[list[list[int]], Fraction]:
-    """Clear denominators row by row.
+def _sparse_rows(m: RationalMatrix) -> list[dict[int, Fraction]]:
+    return [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
 
-    Returns integer rows plus the product of the scaling factors, so that
-    det(original) = det(scaled) / product.
+
+def _cancel(r: dict[int, Fraction], c: int, pivot: dict[int, Fraction]) -> None:
+    """Subtract r[c] times the normalized pivot row (pivot[c] == 1) from r,
+    which clears column c of r."""
+    f = r.pop(c)
+    for cc, vv in pivot.items():
+        if cc != c:
+            val = r.get(cc, Fraction(0)) - f * vv
+            if val:
+                r[cc] = val
+            else:
+                r.pop(cc, None)
+
+
+def _eliminate(
+    rows: Iterable[dict[int, Fraction]], reduced: bool = False
+) -> tuple[dict[int, dict[int, Fraction]], list[Fraction]]:
+    """Sparse Gauss-Jordan elimination over the rationals: the one
+    elimination core behind `rref`, `det`, `inverse` and section ranks.
+
+    Rows are {column: value} dicts and are not modified. Each row is reduced
+    by min-column pivoting: its minimum column is eliminated against the
+    pivot row of that column until it has none, and then the row, divided by
+    its entry there, becomes the pivot row of that column. Every step removes
+    the minimum column, so the loop ends. Returns the pivot rows keyed by
+    their column, in the order the input rows became pivots, and the raw
+    pivot entries in the same order. With `reduced`, a back-substitution
+    pass also clears every pivot column from the other pivot rows, which
+    leaves the canonical reduced row-echelon rows.
     """
-    out = []
-    scale = Fraction(1)
-    for i in range(m.rows):
-        row = m.row(i)
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        scale *= mult
-        out.append([int(x * mult) for x in row])
-    return out, scale
+    pivots: dict[int, dict[int, Fraction]] = {}
+    leads: list[Fraction] = []
+    for row in rows:
+        r = {c: v for c, v in row.items() if v}
+        while r:
+            c = min(r)
+            pivot = pivots.get(c)
+            if pivot is None:
+                lead = r[c]
+                pivots[c] = {cc: vv / lead for cc, vv in r.items()}
+                leads.append(lead)
+                break
+            _cancel(r, c, pivot)
+    if reduced:
+        # Pivot rows with larger columns are reduced first; subtracting one
+        # only adds entries in non-pivot columns.
+        for c in sorted(pivots, reverse=True):
+            row = pivots[c]
+            for cc in sorted(cc for cc in row if cc != c and cc in pivots):
+                _cancel(row, cc, pivots[cc])
+    return pivots, leads
 
 
 @dataclass(frozen=True)
@@ -206,53 +222,17 @@ class RrefResult:
 
 
 def rref(m: RationalMatrix) -> RrefResult:
-    """Reduced row-echelon form.
-
-    Forward elimination is fraction-free (Bareiss one-step division) on
-    denominator-cleared rows, which keeps intermediate entries as minors of
-    the input instead of letting them blow up; a final normalization pass
-    produces the canonical RREF (pivot entries 1, zeros above and below,
-    pivot columns strictly increasing). Pivots are chosen as the first
-    nonzero entry in column order.
-    """
-    nrows, ncols = m.rows, m.cols
-    work, _ = _integer_rows(m)
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv_row = None
-        for i in range(r, nrows):
-            if work[i][c] != 0:
-                piv_row = i
-                break
-        if piv_row is None:
-            continue
-        if piv_row != r:
-            work[r], work[piv_row] = work[piv_row], work[r]
-        piv = work[r][c]
-        for i in range(r + 1, nrows):
-            ri, rr = work[i], work[r]
-            f = ri[c]
-            for j in range(ncols):
-                ri[j] = (piv * ri[j] - f * rr[j]) // prev
-        pivots.append(c)
-        prev = piv
-        r += 1
-    frac_rows = [[Fraction(x) for x in row] for row in work]
-    for idx in range(len(pivots) - 1, -1, -1):
-        c = pivots[idx]
-        piv = frac_rows[idx][c]
-        frac_rows[idx] = [x / piv for x in frac_rows[idx]]
-        for i in range(idx):
-            f = frac_rows[i][c]
-            if f:
-                top = frac_rows[i]
-                base = frac_rows[idx]
-                frac_rows[i] = [a - f * b for a, b in zip(top, base)]
-    return RrefResult(RationalMatrix.from_rows(frac_rows, cols=ncols), tuple(pivots), len(pivots))
+    """Reduced row-echelon form: pivot entries 1, zeros above and below,
+    pivot columns strictly increasing, zero rows last. The RREF is unique,
+    so the sparse core's choice of pivots does not show in the result."""
+    pivots, _ = _eliminate(_sparse_rows(m), reduced=True)
+    order = sorted(pivots)
+    entries = [Fraction(0)] * (m.rows * m.cols)
+    for i, c in enumerate(order):
+        base = i * m.cols
+        for j, x in pivots[c].items():
+            entries[base + j] = x
+    return RrefResult(RationalMatrix(m.rows, m.cols, tuple(entries)), tuple(order), len(order))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .jetmap import jet_basis
 from .laurent import LaurentMatrix, LaurentPoly, det_laurent
-from .linalg import Scalar, _frac
+from .linalg import Scalar, _eliminate, _frac
 from .symspace import MultiIndex, binomial, monomial_basis
 
 DEFAULT_SAMPLE_POINTS: tuple[Fraction, ...] = (
@@ -243,34 +243,8 @@ def transition_consistency(
 # ---------------------------------------------------------------------------
 
 def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
-    """Rank of a sparse rational matrix by min-column pivoting.
-
-    Pivot rows are normalized and keyed by their minimum column; reducing a
-    new row always eliminates its minimum column, which strictly increases,
-    so the loop terminates.
-    """
-    pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
-    for row in rows:
-        r = {c: v for c, v in row.items() if v}
-        while r:
-            c = min(r)
-            if c in pivots:
-                f = r.pop(c)
-                for cc, vv in pivots[c].items():
-                    if cc == c:
-                        continue
-                    val = r.get(cc, Fraction(0)) - f * vv
-                    if val:
-                        r[cc] = val
-                    else:
-                        r.pop(cc, None)
-            else:
-                piv = r[c]
-                pivots[c] = {cc: vv / piv for cc, vv in r.items()}
-                rank += 1
-                break
-    return rank
+    """Rank of a sparse rational matrix given as {column: value} rows."""
+    return len(_eliminate(rows)[0])
 
 
 def _section_space_dim(data: TransitionData, m: int, degree_bound: int) -> int:

@@ -15,19 +15,24 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from .linalg import Scalar, Subspace, _frac
+from .linalg import RationalMatrix, Scalar, Subspace, _frac
 
 MultiIndex = tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
 def binomial(n: int, k: int) -> int:
-    """Binomial coefficient by Pascal's recursion, exact integers throughout."""
+    """Binomial coefficient by the multiplicative formula, exact integers
+    throughout. Kept independent of `math.comb`, which the checks compare
+    it with. Each partial product is binom(n-k+i, i), so every division is
+    exact."""
     if k < 0 or n < 0 or k > n:
         return 0
-    if k == 0 or k == n:
-        return 1
-    return binomial(n - 1, k - 1) + binomial(n - 1, k)
+    k = min(k, n - k)
+    out = 1
+    for i in range(1, k + 1):
+        out = out * (n - k + i) // i
+    return out
 
 
 def _compositions_desc(total: int, parts: int) -> Iterator[MultiIndex]:
@@ -109,13 +114,12 @@ def m_power_subspace(N: int, n: int, k: int) -> Subspace:
     _check_subspace_params(N, n, k)
     basis = monomial_basis(N, n)
     ambient = len(basis)
-    vectors = []
-    for idx, mono in enumerate(basis):
-        if mono[0] < n - k:
-            v = [Fraction(0)] * ambient
-            v[idx] = Fraction(1)
-            vectors.append(v)
-    sub = Subspace.from_vectors(vectors, ambient)
+    # Unit vectors in increasing index order are already a canonical RREF.
+    support = [idx for idx, mono in enumerate(basis) if mono[0] < n - k]
+    entries = [Fraction(0)] * (len(support) * ambient)
+    for row, idx in enumerate(support):
+        entries[row * ambient + idx] = Fraction(1)
+    sub = Subspace(ambient, RationalMatrix(len(support), ambient, tuple(entries)))
     expected = sum(binomial(i + N - 1, N - 1) for i in range(k + 1, n + 1))
     if sub.dim != expected:
         raise ArithmeticError(f"small-x_0 subspace has dimension {sub.dim}, expected {expected}")
@@ -130,7 +134,7 @@ def codimension_identity(N: int, n: int, k: int) -> bool:
     _check_subspace_params(N, n, k)
     target = binomial(k + N, N)
 
-    # Pascal-recursion sums over the x_0 exponent.
+    # Stacked sums over the x_0 exponent.
     head_sum = sum(binomial(i + N - 1, N - 1) for i in range(k + 1))
     full_sum = sum(binomial(i + N - 1, N - 1) for i in range(n + 1))
     tail_sum = sum(binomial(i + N - 1, N - 1) for i in range(k + 1, n + 1))

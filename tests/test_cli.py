@@ -77,6 +77,19 @@ def test_counterexample_exit_code(capsys, monkeypatch):
     assert "overall: FAIL" in out
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # An exception from inside a check is neither a counterexample (1) nor a
+    # usage error (2).
+    def broken(*args, **kwargs):
+        raise ArithmeticError("planted")
+
+    monkeypatch.setattr(cli, "codimension_identity", broken)
+    code, out, err = run(capsys, "dims", "--N", "2", "--n", "4", "--k", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: ArithmeticError: planted\n"
+
+
 def test_sweep_triple_count_and_json(capsys):
     code, out, _ = run(
         capsys, "sweep", "--N", "1", "2", "--n", "2", "3", "4",

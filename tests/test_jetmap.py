@@ -182,6 +182,13 @@ def test_verify_jet_representation_plane():
     assert report.passed
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_verify_jet_representation_needs_a_trial(trials):
+    # With no trials the equivariance half would pass vacuously.
+    with pytest.raises(ValueError):
+        verify_jet_representation(1, 3, 1, trials=trials)
+
+
 def test_verify_jet_representation_deterministic():
     a = verify_jet_representation(2, 4, 2, trials=20, seed=9)
     b = verify_jet_representation(2, 4, 2, trials=20, seed=9)

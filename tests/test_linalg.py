@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pplab.linalg import RationalMatrix, Subspace, kernel_basis, rref, subspace_equal
+from pplab.splitting import _sparse_rank
 
 fracs = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 
@@ -19,6 +21,23 @@ def matrices(max_dim=4):
             max_size=shape[0],
         ).map(RationalMatrix.from_rows)
     )
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=12, max_cols=30):
+    """Wide, mostly zero matrices shaped like the scaled selections pplab
+    eliminates, with zero rows and repeated rows mixed in."""
+    cols = draw(st.integers(1, max_cols))
+    row = st.dictionaries(st.integers(0, cols - 1), fracs.filter(bool), max_size=4)
+    rows = draw(st.lists(row, min_size=1, max_size=max_rows - 3))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    rows = draw(st.permutations(rows))
+    return RationalMatrix.from_rows(
+        [[r.get(j, Fraction(0)) for j in range(cols)] for r in rows], cols=cols
+    )
+
+
+any_matrices = st.one_of(matrices(), sparse_matrices())
 
 
 def test_rref_proportional_rows():
@@ -98,10 +117,17 @@ def test_kernel_vectors_annihilate(m):
         assert all(x == 0 for x in image)
 
 
-@settings(deadline=None, max_examples=60)
-@given(matrices())
+@settings(deadline=None, max_examples=100)
+@given(any_matrices)
 def test_rank_nullity(m):
     assert rref(m).rank + kernel_basis(m).dim == m.cols
+
+
+@settings(deadline=None, max_examples=100)
+@given(any_matrices)
+def test_sparse_rank_matches_rref(m):
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m.iter_rows()]
+    assert _sparse_rank(rows) == rref(m).rank
 
 
 @settings(deadline=None, max_examples=40)
@@ -149,8 +175,8 @@ def _naive_gauss_jordan(rows):
     return rows, pivots
 
 
-@settings(deadline=None, max_examples=80)
-@given(matrices())
+@settings(deadline=None, max_examples=150)
+@given(any_matrices)
 def test_rref_matches_naive_gauss_jordan(m):
     got = rref(m)
     want_rows, want_pivots = _naive_gauss_jordan(m.to_rows())
@@ -201,3 +227,47 @@ def test_det_small_cases():
     assert RationalMatrix.from_rows([[1, 2], [3, 4]]).det() == -2
     assert RationalMatrix.identity(4).det() == 1
     assert RationalMatrix.from_rows([[Fraction(1, 2), 0], [0, 2]]).det() == 1
+
+
+def _leibniz_det(rows):
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(rows))):
+        term = Fraction(1)
+        for i, j in itertools.combinations(range(len(perm)), 2):
+            if perm[i] > perm[j]:
+                term = -term
+        for i, p in enumerate(perm):
+            term *= rows[i][p]
+        total += term
+    return total
+
+
+square_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(st.just(Fraction(0)), fracs), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    ).map(RationalMatrix.from_rows)
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(square_matrices)
+def test_det_matches_leibniz(m):
+    assert m.det() == _leibniz_det(m.to_rows())
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [1, 0]],  # one swap
+    [[0, 0, 2], [0, 3, 0], [5, 0, 0]],  # anti-diagonal, odd
+    [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],  # anti-diagonal, even
+    [[0, 1, 2], [0, 0, 3], [4, 5, 6]],  # cyclic rows
+    [[1, 2, 3], [2, 4, 6], [0, 1, 1]],  # proportional rows
+    [[0, 1, 2], [0, 3, 4], [0, 5, 6]],  # zero column
+    [[1, 2, 3], [4, 5, 6], [5, 7, 9]],  # dependent, no zero entries
+    [[Fraction(1, 2), 1, 0, 0, 0], [0, 0, 0, 0, Fraction(-3, 2)], [0, 0, 1, 1, 0],
+     [2, 0, 0, 0, 1], [0, 1, 0, Fraction(2, 3), 0]],
+])
+def test_det_hand_cases_match_leibniz(rows):
+    m = RationalMatrix.from_rows(rows)
+    assert m.det() == _leibniz_det(m.to_rows())

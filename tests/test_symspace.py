@@ -93,6 +93,19 @@ def test_binomial_matches_math_comb():
     assert binomial(-1, 0) == 0
 
 
+def test_binomial_is_not_recursive():
+    # A Pascal recursion needs about n frames and overflows the default
+    # recursion limit of 1000.
+    import math
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(min(limit, 1000))
+    try:
+        assert binomial(2000, 1000) == math.comb(2000, 1000)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_m_power_subspace_line_degree_two():
     sub = m_power_subspace(1, 2, 1)
     assert sub.dim == 1
@@ -123,6 +136,21 @@ def test_m_power_subspace_plane_degree_two():
         vectors.append(v)
     assert sub.dim == 3 == sum(binomial(i + 1, 1) for i in range(2, 3))
     assert sub == Subspace.from_vectors(vectors, len(basis))
+
+
+def test_m_power_subspace_is_the_rref_of_its_unit_vectors():
+    # The subspace is built directly as a canonical basis; elimination of
+    # its spanning unit vectors must give the same data.
+    for N in (1, 2, 3):
+        for n in range(2, 7):
+            basis = monomial_basis(N, n)
+            for k in range(1, n):
+                units = [
+                    [int(j == i) for j in range(len(basis))]
+                    for i, mono in enumerate(basis)
+                    if mono[0] < n - k
+                ]
+                assert m_power_subspace(N, n, k) == Subspace.from_vectors(units, len(basis))
 
 
 def test_m_power_subspace_parameter_validation():
