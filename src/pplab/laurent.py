@@ -197,6 +197,11 @@ class LaurentMatrix:
     def row(self, i: int) -> tuple[LaurentPoly, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "LaurentMatrix":
+        return LaurentMatrix(
+            len(rows), len(cols), tuple(self.entries[i * self.cols + j] for i in rows for j in cols)
+        )
+
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
@@ -230,19 +235,94 @@ class LaurentMatrix:
         return lo, hi
 
 
+def block_components(m: LaurentMatrix) -> list[tuple[list[int], list[int]]]:
+    """Connected components of the nonzero pattern of m, as (rows, cols).
+
+    The pattern is the bipartite graph with an edge from row i to column j
+    for every nonzero entry. Each component lists its row and column indices
+    in increasing order; components are ordered by their first row, and a
+    zero column, a component without rows, comes last. Permuting the rows and
+    the columns into the concatenated component order makes m block-diagonal.
+    """
+    row_cols = [[j for j, p in enumerate(m.row(i)) if not p.is_zero()] for i in range(m.rows)]
+    col_rows: list[list[int]] = [[] for _ in range(m.cols)]
+    for i, cols in enumerate(row_cols):
+        for j in cols:
+            col_rows[j].append(i)
+    row_seen = [False] * m.rows
+    col_seen = [False] * m.cols
+    blocks: list[tuple[list[int], list[int]]] = []
+    for start in range(m.rows):
+        if row_seen[start]:
+            continue
+        row_seen[start] = True
+        rows, cols, stack = [start], [], [start]
+        while stack:
+            for j in row_cols[stack.pop()]:
+                if col_seen[j]:
+                    continue
+                col_seen[j] = True
+                cols.append(j)
+                for i in col_rows[j]:
+                    if not row_seen[i]:
+                        row_seen[i] = True
+                        rows.append(i)
+                        stack.append(i)
+        blocks.append((sorted(rows), sorted(cols)))
+    blocks.extend(([], [j]) for j in range(m.cols) if not col_seen[j])
+    return blocks
+
+
+def _perm_sign(perm: Sequence[int]) -> int:
+    """Sign of a permutation of range(len(perm)), from its cycle lengths."""
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
 def det_laurent(m: LaurentMatrix) -> LaurentPoly:
     """Exact determinant of a square Laurent-polynomial matrix.
 
-    Singleton rows and columns are peeled off first (cofactor expansion along
-    a row/column with one nonzero entry), which resolves permuted-triangular
-    matrices in quadratic time; the remaining core goes through fraction-free
-    Bareiss elimination over the Laurent ring, whose divisions are exact.
+    The matrix is first cut into the connected components of its nonzero
+    pattern (`block_components`). Ordering rows and columns by component
+    makes it block-diagonal, so the determinant is the product of the block
+    determinants times the signs of the row order and of the column order; a
+    non-square component makes it 0. Each connected block has its singleton
+    rows and columns peeled off (cofactor expansion along a row/column with
+    one nonzero entry), which resolves permuted-triangular blocks in
+    quadratic time; the remaining core goes through fraction-free Bareiss
+    elimination over the Laurent ring, whose divisions are exact.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
+    if m.rows == 0:
         return LaurentPoly.const(1)
+    blocks = block_components(m)
+    if len(blocks) == 1:
+        return _det_connected(m)
+    if any(len(rows) != len(cols) for rows, cols in blocks):
+        return LaurentPoly.zero()
+    sign = _perm_sign([i for rows, _ in blocks for i in rows])
+    sign *= _perm_sign([j for _, cols in blocks for j in cols])
+    acc = LaurentPoly.const(sign)
+    for rows, cols in blocks:
+        acc = acc * _det_connected(m.submatrix(rows, cols))
+    return acc
+
+
+def _det_connected(m: LaurentMatrix) -> LaurentPoly:
+    n = m.rows
     grid = [[m.entry(i, j) for j in range(n)] for i in range(n)]
     row_ids = list(range(n))
     col_ids = list(range(n))

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .jetmap import jet_basis
-from .laurent import LaurentMatrix, LaurentPoly, det_laurent
+from .laurent import LaurentMatrix, LaurentPoly, block_components, det_laurent
 from .linalg import Scalar, _eliminate, _frac
 from .symspace import MultiIndex, binomial, monomial_basis
 
@@ -277,9 +277,11 @@ def _section_space_dim(data: TransitionData, m: int, degree_bound: int) -> int:
 def h0_twisted(data: TransitionData, m: int, degree_bound: int | None = None) -> int:
     """Dimension of the twisted global sections h^0(E(m)) on the line.
 
-    The default chart-1 degree bound |m| + rank * (|lo| + |hi| + 1) covers
-    every unit-determinant cocycle of this size; pass a shared explicit bound
-    when comparing values across several twists.
+    The default chart-1 degree bound is |m| + rank * (|lo| + |hi| + 1), with
+    (lo, hi) the exponent range of the cocycle. It is the bound used, not a
+    certified one: no proof is known that it reaches every section of every
+    unit-determinant cocycle, and a too-small bound undercounts. Pass a
+    shared explicit bound when comparing values across several twists.
     """
     if degree_bound is None:
         lo, hi = data.matrix.exponent_range()
@@ -288,15 +290,45 @@ def h0_twisted(data: TransitionData, m: int, degree_bound: int | None = None) ->
 
 
 def splitting_type(data: TransitionData) -> SplittingType:
-    """Degrees of the line-bundle summands, from first differences of the
-    twisted section counts: #(degrees >= -m) = h0(m) - h0(m-1).
+    """Degrees of the line-bundle summands of a unit-determinant cocycle.
+
+    The cocycle is cut into the connected components of its nonzero pattern
+    (`block_components`). A constant row and column permutation is a gauge,
+    and after one the cocycle is the direct sum of these blocks, so its
+    splitting type is the union of theirs. Each block is wrapped in its own
+    TransitionData, so its unit-determinant check and its degree bounds come
+    from its own rank and exponent range; blocks with identical entries are
+    computed once per call. The jet cocycle is block-diagonal by the tail
+    exponents (alpha_2, ..., alpha_N) of the jet monomials. A block that is
+    not square, or whose degrees do not sum to its determinant exponent,
+    raises ArithmeticError.
+    """
+    matrix = data.matrix
+    found: dict[LaurentMatrix, list[int]] = {}
+    degrees: list[int] = []
+    for rows, cols in block_components(matrix):
+        if len(rows) != len(cols):
+            raise ArithmeticError("cocycle has a non-square block, so its determinant is 0")
+        block = matrix if len(rows) == data.rank else matrix.submatrix(rows, cols)
+        if block not in found:
+            part = data if block is matrix else TransitionData(len(rows), block)
+            part_degrees = _block_degrees(part)
+            if sum(part_degrees) != part.det_parts()[1]:
+                raise ArithmeticError("block degrees do not sum to its determinant exponent")
+            found[block] = part_degrees
+        degrees.extend(found[block])
+    return SplittingType(tuple(sorted(degrees, reverse=True)))
+
+
+def _block_degrees(data: TransitionData) -> list[int]:
+    """Degrees of one block, from first differences of the twisted section
+    counts: #(degrees >= -m) = h0(m) - h0(m-1).
 
     All twist evaluations in one pass share a single chart-1 degree bound, so
     the difference counts are honest lower bounds of the true ones; a result
     is only returned once the recovered degree count equals the rank and the
     degree sum equals the determinant exponent, which together force the
-    multiset to be exactly right. Failing that, the degree bound is enlarged;
-    a cocycle with a non-unit determinant is rejected up front.
+    multiset to be exactly right. Failing that, the degree bound is enlarged.
     """
     c, e_det = data.det_parts()
     rho = data.rank
@@ -315,7 +347,7 @@ def splitting_type(data: TransitionData) -> SplittingType:
                 for m in (-d_bar - 2, -d_bar - 1, -d_bar)
             ]
             if h0_vals[1] - h0_vals[0] == 0 and h0_vals[2] - h0_vals[1] == rho:
-                return SplittingType((d_bar,) * rho)
+                return [d_bar] * rho
 
         a, b = -hi - 1, -lo + 1
         while True:
@@ -342,18 +374,31 @@ def splitting_type(data: TransitionData) -> SplittingType:
                 break
             degrees.extend([-m] * mult)
         if ok and len(degrees) == rho and sum(degrees) == e_det:
-            return SplittingType(tuple(sorted(degrees, reverse=True)))
+            return degrees
     raise ArithmeticError("splitting extraction did not validate at the maximal degree bound")
+
+
+def jet_splitting_check(
+    data: TransitionData, N: int, n: int, k: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(computed, expected) splitting degrees of the order-k jet cocycle
+    `data` of the degree-n line bundle: the corollary expects binom(N+k, N)
+    copies of degree n-k."""
+    _require_corollary_range(N, n, k)
+    return splitting_type(data).degrees, (n - k,) * binomial(N + k, N)
+
+
+def _require_corollary_range(N: int, n: int, k: int) -> None:
+    if N < 1 or not 0 <= k < n:
+        raise ValueError(f"require N >= 1 and 0 <= k < n, got N={N}, n={n}, k={k}")
 
 
 def verify_splitting(N: int, n: int, k: int) -> bool:
     """Whether the order-k jet bundle of the degree-n line bundle splits as
     binom(N+k, N) copies of degree n-k on the line."""
-    if N < 1 or not 0 <= k < n:
-        raise ValueError(f"require N >= 1 and 0 <= k < n, got N={N}, n={n}, k={k}")
-    st = splitting_type(jet_transition_matrix(N, n, k))
-    expected = (n - k,) * binomial(N + k, N)
-    return st.degrees == expected
+    _require_corollary_range(N, n, k)
+    degrees, expected = jet_splitting_check(jet_transition_matrix(N, n, k), N, n, k)
+    return degrees == expected
 
 
 # ---------------------------------------------------------------------------

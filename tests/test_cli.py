@@ -4,6 +4,8 @@ import pytest
 
 from pplab import cli
 from pplab.jetmap import JetRepReport
+from pplab.laurent import LaurentMatrix
+from pplab.splitting import TransitionData, jet_transition_matrix
 
 
 def run(capsys, *argv):
@@ -75,6 +77,30 @@ def test_counterexample_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify-theorem", "--N", "1", "--n", "3", "--k", "1")
     assert code == 1
     assert "overall: FAIL" in out
+
+
+def non_uniform_cocycle(N, n, k):
+    # Row 0 of the jet cocycle times t: the determinant stays a unit, the
+    # degrees sum to one more than the corollary's, so no uniform splitting.
+    data = jet_transition_matrix(N, n, k)
+    entries = list(data.matrix.entries)
+    entries[: data.rank] = [p.shift(1) for p in entries[: data.rank]]
+    return TransitionData(data.rank, LaurentMatrix(data.rank, data.rank, tuple(entries)))
+
+
+@pytest.mark.parametrize("command", [
+    ["verify-corollary", "--N", "2", "--n", "3", "--k", "1"],
+    ["sweep", "--N", "2", "--n", "3", "--k", "1", "--trials", "2"],
+])
+def test_non_uniform_cocycle_is_a_counterexample(capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "jet_transition_matrix", non_uniform_cocycle)
+    code, out, err = run(capsys, *command, "--output", "json")
+    assert code == 1, err
+    report = json.loads(out)
+    split = report["result"] if "result" in report else report["results"][0]["splitting"]
+    assert split["pass"] is False
+    assert sum(split["degrees"]) == split["multiplicity"] * split["expected_degree"] + 1
+    assert report["overall_pass"] is False
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

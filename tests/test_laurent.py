@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pplab.laurent import LaurentMatrix, LaurentPoly, det_laurent
+from pplab.laurent import LaurentMatrix, LaurentPoly, block_components, det_laurent
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 polys = st.dictionaries(st.integers(-3, 3), fracs, max_size=4).map(LaurentPoly.from_dict)
@@ -16,6 +17,59 @@ def square(n, entries):
 
 def laurent_matrices(n):
     return st.lists(polys, min_size=n * n, max_size=n * n).map(lambda e: square(n, e))
+
+
+small_polys = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=2).map(
+    LaurentPoly.from_dict
+)
+# Two of three entries are zero on average, so blocks and zero lines are common.
+sparse_entries = st.one_of(st.just(LaurentPoly.zero()), st.just(LaurentPoly.zero()), small_polys)
+
+
+@st.composite
+def sparse_laurent_matrices(draw):
+    n = draw(st.integers(1, 6))
+    return square(n, draw(st.lists(sparse_entries, min_size=n * n, max_size=n * n)))
+
+
+def inversion_sign(perm):
+    inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+    return -1 if inversions % 2 else 1
+
+
+def leibniz_det(m):
+    """Oracle: the permutation sum, independent of peeling, blocks and Bareiss."""
+    total = LaurentPoly.zero()
+    for perm in itertools.permutations(range(m.rows)):
+        term = LaurentPoly.const(inversion_sign(perm))
+        for i, j in enumerate(perm):
+            term = term * m.entry(i, j)
+        total = total + term
+    return total
+
+
+def block_diagonal(blocks):
+    n = sum(b.rows for b in blocks)
+    entries = [LaurentPoly.zero()] * (n * n)
+    at = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                entries[(at + i) * n + at + j] = b.entry(i, j)
+        at += b.rows
+    return square(n, entries)
+
+
+def monomial_matrix(rng, n):
+    return square(n, [LaurentPoly.t_pow(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n * n)])
+
+
+def permutation_of_parity(rng, n, sign):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    if inversion_sign(perm) != sign:
+        perm[0], perm[1] = perm[1], perm[0]
+    return perm
 
 
 def test_det_diag_t_and_t_inverse():
@@ -47,6 +101,53 @@ def test_det_singular_is_zero():
     row = [LaurentPoly.t_pow(1), LaurentPoly.t_pow(2)]
     m = LaurentMatrix.from_rows([row, row])
     assert det_laurent(m).is_zero()
+
+
+@settings(deadline=None, max_examples=150)
+@given(sparse_laurent_matrices())
+def test_det_matches_leibniz_on_sparse_matrices(m):
+    assert det_laurent(m) == leibniz_det(m)
+
+
+@pytest.mark.parametrize("row_sign,col_sign", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_det_of_permuted_block_diagonal(row_sign, col_sign):
+    rng = random.Random(17 + 3 * row_sign + col_sign)
+    for _ in range(6):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+        sizes = sizes if sum(sizes) <= 6 else sizes[:2]
+        blocks = [monomial_matrix(rng, s) for s in sizes]
+        m = block_diagonal(blocks)
+        rows = permutation_of_parity(rng, m.rows, row_sign)
+        cols = permutation_of_parity(rng, m.rows, col_sign)
+        p = m.submatrix(rows, cols)
+        expected = LaurentPoly.const(row_sign * col_sign)
+        for b in blocks:
+            expected = expected * leibniz_det(b)
+        assert det_laurent(p) == leibniz_det(p) == expected
+        assert sorted(len(r) for r, _ in block_components(p)) == sorted(sizes)
+
+
+def test_det_with_non_square_component_is_zero():
+    # Rows 0 and 1 meet only column 0; row 2 meets columns 1 and 2.
+    t, one, zero = LaurentPoly.t_pow(1), LaurentPoly.const(1), LaurentPoly.zero()
+    m = LaurentMatrix.from_rows([[t, zero, zero], [one, zero, zero], [zero, t, one]])
+    assert block_components(m) == [([0, 1], [0]), ([2], [1, 2])]
+    assert det_laurent(m).is_zero()
+    assert leibniz_det(m).is_zero()
+
+
+def test_block_components_lists_zero_lines_as_their_own_blocks():
+    one, zero = LaurentPoly.const(1), LaurentPoly.zero()
+    m = LaurentMatrix.from_rows([[zero, one, zero], [zero, zero, zero], [zero, one, zero]])
+    assert block_components(m) == [([0, 2], [1]), ([1], []), ([], [0]), ([], [2])]
+    assert det_laurent(m).is_zero()
+
+
+def test_block_components_sorts_indices_inside_a_block():
+    # The search reaches row 2 before row 1 and column 2 before column 0.
+    one, zero = LaurentPoly.const(1), LaurentPoly.zero()
+    m = LaurentMatrix.from_rows([[zero, zero, one], [one, one, zero], [zero, one, one]])
+    assert block_components(m) == [([0, 1, 2], [0, 1, 2])]
 
 
 @settings(deadline=None, max_examples=40)

@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
-from pplab.laurent import LaurentMatrix, LaurentPoly, det_laurent
+from pplab.jetmap import jet_basis
+from pplab.laurent import LaurentMatrix, LaurentPoly, block_components, det_laurent
 from pplab.splitting import (
     DEFAULT_SAMPLE_POINTS,
     TransitionData,
+    _section_space_dim,
     chart0_jet,
     chart1_jet,
     h0_twisted,
+    jet_splitting_check,
     jet_transition_matrix,
     random_unimodular,
     splitting_type,
@@ -167,6 +171,104 @@ def test_splitting_gauge_invariance():
         assert splitting_type(gauged).degrees == tuple(sorted(exps, reverse=True))
 
 
+def gauged(rng, exps):
+    rank = len(exps)
+    left = random_unimodular(rank, rng, inverse_variable=False)
+    right = random_unimodular(rank, rng, inverse_variable=True)
+    return left @ diag_powers(*exps).matrix @ right
+
+
+def direct_sum(parts):
+    n = sum(p.rows for p in parts)
+    entries = [LaurentPoly.zero()] * (n * n)
+    at = 0
+    for p in parts:
+        for i in range(p.rows):
+            for j in range(p.cols):
+                entries[(at + i) * n + at + j] = p.entry(i, j)
+        at += p.rows
+    return LaurentMatrix(n, n, tuple(entries))
+
+
+def test_splitting_of_permuted_direct_sum_is_union_of_parts():
+    # A constant row or column permutation is a gauge, and a direct sum
+    # splits as the union of its summands' types.
+    rng = random.Random(2024)
+    for trial in range(8):
+        part_exps = [
+            [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(2, 3))
+        ]
+        parts = [gauged(rng, exps) for exps in part_exps]
+        if trial % 2:
+            parts.append(parts[0])  # a repeated summand still counts twice
+            part_exps.append(part_exps[0])
+        total = direct_sum(parts)
+        rows = list(range(total.rows))
+        cols = list(range(total.rows))
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+        data = TransitionData(total.rows, total.submatrix(rows, cols))
+        union = sorted((d for exps in part_exps for d in exps), reverse=True)
+        assert len(block_components(data.matrix)) >= len(parts)
+        assert splitting_type(data).degrees == tuple(union)
+        for part, exps in zip(parts, part_exps):
+            assert splitting_type(TransitionData(part.rows, part)).degrees == tuple(
+                sorted(exps, reverse=True)
+            )
+
+
+def test_splitting_rejects_a_non_square_block():
+    # TransitionData rejects such a matrix (determinant 0), so plant it past
+    # the constructor to reach the check inside splitting_type.
+    data = diag_powers(0, 0)
+    one, zero = LaurentPoly.const(1), LaurentPoly.zero()
+    object.__setattr__(data, "matrix", LaurentMatrix.from_rows([[one, one], [zero, zero]]))
+    with pytest.raises(ArithmeticError):
+        splitting_type(data)
+
+
+def tails(N, k):
+    """Tail exponents (alpha_2, ..., alpha_N) of total degree at most k."""
+    out = []
+    for d in range(k + 1):
+        for combo in combinations_with_replacement(range(N - 1), d):
+            out.append(tuple(combo.count(i) for i in range(N - 1)))
+    return out
+
+
+JET_CASES = [(N, k + 1 + extra, k) for N in (1, 2, 3) for k in (0, 1, 2, 3) for extra in (0, 2)]
+
+
+@pytest.mark.parametrize("N,n,k", JET_CASES)
+def test_jet_cocycle_blocks_follow_tail_exponents(N, n, k):
+    data = jet_transition_matrix(N, n, k)
+    jb = list(jet_basis(N, k))
+    blocks = block_components(data.matrix)
+    assert len(blocks) == binomial(N - 1 + k, N - 1) == len(tails(N, k))
+    seen = set()
+    for rows, cols in blocks:
+        assert rows == cols
+        tail = jb[rows[0]][1:]
+        assert all(jb[i][1:] == tail for i in rows)
+        assert len(rows) == k + 1 - sum(tail)
+        seen.add(tail)
+    assert seen == set(tails(N, k))
+
+
+@pytest.mark.parametrize("N,n,k", JET_CASES)
+def test_jet_section_count_is_sum_over_blocks(N, n, k):
+    data = jet_transition_matrix(N, n, k)
+    parts = [
+        TransitionData(len(rows), data.matrix.submatrix(rows, cols))
+        for rows, cols in block_components(data.matrix)
+    ]
+    bound = 2 * (n + k) + 2
+    for m in range(k - n - 2, k - n + 4):
+        whole = _section_space_dim(data, m, bound)
+        assert whole == sum(_section_space_dim(p, m, bound) for p in parts)
+
+
 def test_jet_splitting_is_uniform():
     for (N, n, k) in [(1, 4, 2), (2, 3, 2), (2, 4, 1)]:
         st = splitting_type(jet_transition_matrix(N, n, k))
@@ -178,6 +280,18 @@ def test_verify_splitting_examples():
     assert verify_splitting(1, 3, 1)  # {2, 2}
     assert verify_splitting(2, 2, 1)  # {1, 1, 1}
     assert verify_splitting(1, 4, 2)  # {2, 2, 2}
+
+
+def test_jet_splitting_check_returns_computed_and_expected():
+    degrees, expected = jet_splitting_check(jet_transition_matrix(2, 4, 2), 2, 4, 2)
+    assert degrees == expected == (2,) * 6
+    # One row times t keeps the determinant a unit but breaks uniformity.
+    data = jet_transition_matrix(2, 4, 2)
+    entries = list(data.matrix.entries)
+    entries[: data.rank] = [p.shift(1) for p in entries[: data.rank]]
+    bent = TransitionData(data.rank, LaurentMatrix(data.rank, data.rank, tuple(entries)))
+    degrees, expected = jet_splitting_check(bent, 2, 4, 2)
+    assert sum(degrees) == sum(expected) + 1 and degrees != expected
 
 
 def test_verify_splitting_validates_range():
