@@ -21,6 +21,7 @@ import time
 from . import __version__
 from .jetmap import JetRepReport, exact_sequence_check, verify_jet_representation
 from .splitting import (
+    TransitionData,
     jet_splitting_check,
     jet_transition_matrix,
     splitting_type,
@@ -50,8 +51,8 @@ def _theorem_result(report: JetRepReport) -> dict:
     }
 
 
-def _splitting_result(N: int, n: int, k: int) -> dict:
-    degrees, expected = jet_splitting_check(jet_transition_matrix(N, n, k), N, n, k)
+def _splitting_result(data: TransitionData, N: int, n: int, k: int) -> dict:
+    degrees, expected = jet_splitting_check(data, N, n, k)
     return {
         "degrees": list(degrees),
         "expected_degree": n - k,
@@ -68,20 +69,21 @@ def _report_skeleton(command: str, config: dict) -> dict:
     }
 
 
+def _write(text: str, path: str | None) -> None:
+    """Print text, or write it to path; a path that cannot be written is a
+    usage error, not an internal one."""
+    if not path:
+        print(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise ParameterError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+
+
 def _emit(report: dict, args: argparse.Namespace, text: str) -> None:
-    if args.output == "json":
-        payload = json.dumps(report, indent=2)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
-    else:
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+    _write(json.dumps(report, indent=2) if args.output == "json" else text, args.out)
 
 
 def _require_theorem_regime(N: int, n: int, k: int) -> None:
@@ -139,16 +141,15 @@ def cmd_verify_corollary(args: argparse.Namespace) -> int:
             f"parameters must satisfy N >= 1 and 0 <= k < n (got N={args.N}, k={args.k}, n={args.n})"
         )
     start = time.monotonic()
-    result = _splitting_result(args.N, args.n, args.k)
+    data = jet_transition_matrix(args.N, args.n, args.k)
+    result = _splitting_result(data, args.N, args.n, args.k)
     body = _report_skeleton(
         "verify-corollary", {"N": args.N, "n": args.n, "k": args.k}
     )
     body["result"] = result
     body["overall_pass"] = result["pass"]
     if args.verbose:
-        body["transition"] = transition_to_json_dict(
-            jet_transition_matrix(args.N, args.n, args.k)
-        )
+        body["transition"] = transition_to_json_dict(data)
     body["elapsed_ms"] = int((time.monotonic() - start) * 1000)
     degrees = "{" + ", ".join(str(d) for d in result["degrees"]) + "}"
     text = (
@@ -209,12 +210,7 @@ def cmd_export_transition(args: argparse.Namespace) -> int:
             f"parameters must satisfy N >= 1, n >= 1, k >= 0 (got N={args.N}, n={args.n}, k={args.k})"
         )
     data = jet_transition_matrix(args.N, args.n, args.k)
-    payload = json.dumps(transition_to_json_dict(data), indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    _write(json.dumps(transition_to_json_dict(data), indent=2), args.out)
     return EXIT_PASS
 
 
@@ -243,7 +239,7 @@ def run_sweep(
                 )
                 sequence_ok = exact_sequence_check(N, n, k)
                 dims_ok = codimension_identity(N, n, k)
-                split = _splitting_result(N, n, k)
+                split = _splitting_result(jet_transition_matrix(N, n, k), N, n, k)
                 triple_pass = (
                     theorem.passed and sequence_ok and dims_ok and split["pass"]
                 )

@@ -14,10 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 from .linalg import RationalMatrix, kernel_basis, rref, subspace_equal
-from .parabolic import GroupElement, _parabolic_from_rng, _scaled_inverse_rows, _substitution_images
+from .parabolic import _parabolic_from_rng, _scaled_inverse_rows, _substitution_images
 from .symspace import MultiIndex, binomial, dim_sym, m_power_subspace, monomial_basis
 
 
@@ -158,50 +159,73 @@ class JetRepReport:
         )
 
 
-def _trial_checks(
-    g: GroupElement, N: int, n: int, k: int, ff: list[int]
-) -> tuple[bool, bool]:
-    """Integer-arithmetic equivariance checks for one stabilizer element.
+@lru_cache(maxsize=1)
+def _trial_elements(
+    N: int, trials: int, seed: int, height: int
+) -> tuple[tuple[Fraction, tuple[tuple[int, ...], ...], int], ...]:
+    """The stabilizer elements of one verification, as (a, B, c) each.
 
-    With the inverse of g cleared to integer rows B/c, the degree-d action is
-    the integer substitution matrix divided by c^d, so both intertwiner
-    identities reduce to integer equalities after cross-multiplying by the
-    single rational r = (c/a)^(n-k).
+    Draws `trials` elements with `_parabolic_from_rng` from
+    random.Random(seed), so each is built as a `GroupElement` and passes its
+    determinant-1 and shape checks, and returns for each its corner scalar a
+    and the integer rows B and clearing denominator c of its inverse, g^-1 =
+    B / c. The elements depend on N but not on n or k, and a sweep verifies
+    the triples of one N one after another, so the single cached entry
+    serves them all.
+    """
+    out = []
+    rng = random.Random(seed)
+    for _ in range(trials):
+        g = _parabolic_from_rng(N, rng, height)
+        out.append((g.parabolic_scalar, *_scaled_inverse_rows(g)))
+    return tuple(out)
+
+
+def _trial_checks(
+    a: Fraction,
+    b_rows: Sequence[Sequence[int]],
+    c: int,
+    N: int,
+    n: int,
+    k: int,
+    ff: list[int],
+) -> tuple[bool, bool]:
+    """Integer-arithmetic equivariance checks for one stabilizer element g,
+    given by its corner scalar a and its inverse cleared to integer rows,
+    g^-1 = b_rows / c. Returns (phi_ok, quot_ok).
+
+    The degree-d action is the integer substitution x_i -> row_i(b_rows)
+    divided by c^d, so both intertwiner identities reduce to integer
+    equalities after cross-multiplying by the single rational
+    r = (c/a)^(n-k) = p/q.
 
     The derivative map reads only the degree-n monomials of x_0-exponent
     >= n-k (the section, the first dim_k of the basis, aligned
     index-for-index with the degree-k basis), so the images are expanded
     modulo (x_1, ..., x_N)^(k+1): a truncated degree-n image has keys in the
-    section only, and degree-k images are untouched. quot_ok compares, column
-    by column, the image of each section monomial with p * ff[col] times the
-    degree-k image. phi_ok adds the block-triangularity of the degree-n
-    action: every monomial outside the section must have an empty truncated
-    image, i.e. stay in the small-x_0 span.
+    section only, and degree-k images are untouched. Images are keyed by
+    basis index, so the section row of a degree-n key is the key itself.
+    quot_ok compares, column by column, q * ff[row] times the image of each
+    section monomial with p * ff[col] times the degree-k image, where ff[i]
+    is the falling factorial the derivative map puts on section monomial i.
+    phi_ok adds the block-triangularity of the degree-n action: every
+    monomial outside the section must have an empty truncated image, i.e.
+    stay in the small-x_0 span.
     """
-    basis_n = monomial_basis(N, n)
-    basis_k = monomial_basis(N, k)
-    dim_k = len(basis_k)
-    b_rows, c = _scaled_inverse_rows(g)
     levels = _substitution_images(b_rows, N, n, k)
     img_n, img_k = levels[n], levels[k]
-    r = (Fraction(c) / g.parabolic_scalar) ** (n - k)
+    dim_k = len(img_k)
+    r = (Fraction(c) / a) ** (n - k)
     p, q = r.numerator, r.denominator
 
     quot_ok = True
-    for col, mono in enumerate(basis_k):
-        lhs = {}
-        for m2, coeff in img_n[basis_n.monomials[col]].items():
-            row = basis_n.index_of(m2)
-            if ff[row]:
-                lhs[row] = q * ff[row] * coeff
-        rhs = {}
-        if ff[col]:
-            for m2, coeff in img_k[mono].items():
-                rhs[basis_k.index_of(m2)] = p * ff[col] * coeff
+    for col in range(dim_k):
+        lhs = {row: q * ff[row] * coeff for row, coeff in img_n[col].items() if ff[row]}
+        rhs = {row: p * ff[col] * coeff for row, coeff in img_k[col].items()} if ff[col] else {}
         if lhs != rhs:
             quot_ok = False
             break
-    phi_ok = quot_ok and not any(img_n[mono] for mono in basis_n.monomials[dim_k:])
+    phi_ok = quot_ok and not any(img_n[mono] for mono in range(dim_k, len(img_n)))
     return phi_ok, quot_ok
 
 
@@ -233,12 +257,10 @@ def verify_jet_representation(
     ff = [_falling_factorial(mono[0] + (n - k), n - k) for mono in basis_k]
     quotient_invertible = all(f != 0 for f in ff)
 
-    rng = random.Random(seed)
     failures = 0
     quotient_ok = quotient_invertible
-    for _ in range(trials):
-        g = _parabolic_from_rng(N, rng, height)
-        phi_ok, quot_ok = _trial_checks(g, N, n, k, ff)
+    for a, b_rows, c in _trial_elements(N, trials, seed, height):
+        phi_ok, quot_ok = _trial_checks(a, b_rows, c, N, n, k, ff)
         if not phi_ok:
             failures += 1
         if not quot_ok:

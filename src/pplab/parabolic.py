@@ -18,11 +18,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
-from typing import Callable
+from typing import Callable, Sequence
 
 from .linalg import RationalMatrix
-from .symspace import MultiIndex, binomial, dim_sym, monomial_basis
+from .symspace import binomial, dim_sym, monomial_basis
 
 
 @dataclass(frozen=True)
@@ -117,45 +118,88 @@ def dual_action_matrix(g: GroupElement) -> RationalMatrix:
     return g.mat.inverse().transpose()
 
 
-def _scaled_inverse_rows(g: GroupElement) -> tuple[list[list[int]], int]:
+def _scaled_inverse_rows(g: GroupElement) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Rows of g^-1 cleared to integers: returns (rows, c) with g^-1 = rows / c."""
     inv = g.mat.inverse()
     c = lcm(*(x.denominator for x in inv.entries))
-    rows = [[int(x * c) for x in inv.row(i)] for i in range(inv.rows)]
+    rows = tuple(tuple(int(x * c) for x in inv.row(i)) for i in range(inv.rows))
     return rows, c
 
 
+@lru_cache(maxsize=None)
+def _expansion_plan(
+    N: int, max_degree: int, max_tail: int
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[int, ...], ...]]:
+    """Index tables for expanding substitutions up to degree max_degree
+    modulo (x_1, ..., x_N)^(max_tail+1), with max_tail <= max_degree.
+
+    Returns (steps, times). steps[d-1][i] is (parent, var) for the degree-d
+    monomial of index i in monomial_basis(N, d): var is its first variable
+    with a positive exponent, and parent is the index in
+    monomial_basis(N, d-1) of the monomial divided by x_var.
+
+    Terms are keyed by tail: the term x_0^(d-|tau|) x^tau of a degree-d form
+    has the same index in monomial_basis(N, d) as the tail
+    tau = (alpha_1, ..., alpha_N) has among all tails with |tau| <= max_tail,
+    ordered by |tau| and then descending-lexicographically, because the
+    degree-d basis lists x_0-exponents from d down. times[t][j] is the index
+    of the tail t times x_j: t itself for j = 0, and -1 for j >= 1 once
+    |tau| = max_tail, where the product falls into the ideal.
+    """
+    tails = [mono[1:] for mono in monomial_basis(N, max_tail)]
+    index = {tau: t for t, tau in enumerate(tails)}
+    times = tuple(
+        (t,) + tuple(index.get(tau[:j] + (tau[j] + 1,) + tau[j + 1 :], -1) for j in range(N))
+        for t, tau in enumerate(tails)
+    )
+    steps = []
+    for d in range(1, max_degree + 1):
+        lower = monomial_basis(N, d - 1)
+        step = []
+        for mono in monomial_basis(N, d):
+            var = next(i for i, e in enumerate(mono) if e)
+            step.append((lower.index_of(mono[:var] + (mono[var] - 1,) + mono[var + 1 :]), var))
+        steps.append(tuple(step))
+    return tuple(steps), times
+
+
 def _substitution_images(
-    b_rows: list[list[int]], N: int, max_degree: int, max_tail: int | None = None
-) -> list[dict[MultiIndex, dict[MultiIndex, int]]]:
+    b_rows: Sequence[Sequence[int]], N: int, max_degree: int, max_tail: int | None = None
+) -> list[dict[int, dict[int, int]]]:
     """Images of all monomials of degree <= max_degree under x_i -> row_i(b).
 
-    Integer arithmetic throughout; index d of the returned list maps each
-    degree-d monomial to the expanded image polynomial as a sparse dict.
+    Integer arithmetic throughout. Index d of the returned list is a dict
+    from the index of each degree-d monomial in monomial_basis(N, d) to its
+    expanded image, a sparse dict from monomial indices in the same basis to
+    nonzero integer coefficients. Each image is its parent's image (the
+    monomial divided by its first variable x_var) times the linear form
+    row_var(b), with monomial products read off `_expansion_plan`.
 
     With max_tail set, every term whose x_1..x_N-degree exceeds it is dropped
     as soon as it appears, so the images are taken modulo the ideal
     (x_1, ..., x_N)^(max_tail+1). That ideal is graded and the quotient map
     is a ring homomorphism, so truncating each factor of a product gives the
     truncation of the product, whatever the substitution; a degree-d image
-    keeps exactly its terms of x_0-exponent >= d - max_tail.
+    keeps exactly its terms of x_0-exponent >= d - max_tail, whose indices
+    are those below binom(max_tail+N, N). Without it nothing is dropped: the
+    plan for max_tail = max_degree truncates no degree up to max_degree.
     """
+    tail = max_degree if max_tail is None else min(max_tail, max_degree)
+    steps, times = _expansion_plan(N, max_degree, tail)
     forms = [[(j, c) for j, c in enumerate(row) if c] for row in b_rows]
     heads = [[(j, c) for j, c in form if j == 0] for form in forms]
-    zero_mono = (0,) * (N + 1)
-    levels: list[dict[MultiIndex, dict[MultiIndex, int]]] = [{zero_mono: {zero_mono: 1}}]
-    for d in range(1, max_degree + 1):
-        # A term of x_0-exponent below `floor` may only gain more x_0.
-        floor = 0 if max_tail is None else d - max_tail
-        level: dict[MultiIndex, dict[MultiIndex, int]] = {}
-        for mono in monomial_basis(N, d):
-            var = next(i for i, e in enumerate(mono) if e)
-            parent = mono[:var] + (mono[var] - 1,) + mono[var + 1 :]
-            base = levels[d - 1][parent]
-            acc: dict[MultiIndex, int] = {}
-            for m2, coeff in base.items():
-                for j, c in forms[var] if m2[0] >= floor else heads[var]:
-                    key = m2[:j] + (m2[j] + 1,) + m2[j + 1 :]
+    levels: list[dict[int, dict[int, int]]] = [{0: {0: 1}}]
+    for step in steps:
+        below = levels[-1]
+        level: dict[int, dict[int, int]] = {}
+        for mono, (parent, var) in enumerate(step):
+            form, head = forms[var], heads[var]
+            acc: dict[int, int] = {}
+            for t, coeff in below[parent].items():
+                after = times[t]
+                # A tail already of degree max_tail may only gain more x_0.
+                for j, c in form if after[-1] >= 0 else head:
+                    key = after[j]
                     acc[key] = acc.get(key, 0) + coeff * c
             level[mono] = {m: v for m, v in acc.items() if v}
         levels.append(level)
@@ -167,15 +211,14 @@ def sym_action(g: GroupElement, n: int) -> RationalMatrix:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     N = g.N
-    basis = monomial_basis(N, n)
     b_rows, c = _scaled_inverse_rows(g)
     images = _substitution_images(b_rows, N, n)[n]
-    dim = len(basis)
+    dim = len(images)
     scale = Fraction(1, c**n)
     entries = [Fraction(0)] * (dim * dim)
-    for col, mono in enumerate(basis):
-        for m2, coeff in images[mono].items():
-            entries[basis.index_of(m2) * dim + col] = coeff * scale
+    for col, image in images.items():
+        for row, coeff in image.items():
+            entries[row * dim + col] = coeff * scale
     return RationalMatrix(dim, dim, tuple(entries))
 
 

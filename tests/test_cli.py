@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from pplab import cli
+from pplab import cli, jetmap
 from pplab.jetmap import JetRepReport
 from pplab.laurent import LaurentMatrix
-from pplab.splitting import TransitionData, jet_transition_matrix
+from pplab.splitting import TransitionData, jet_transition_matrix, transition_to_json_dict
 
 
 def run(capsys, *argv):
@@ -215,3 +215,66 @@ def test_verbose_embeds_matrices(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["phi_matrix"] == [["2", "0", "0"], ["0", "1", "0"]]
+
+
+@pytest.mark.parametrize("command", [
+    ["dims", "--N", "1", "--n", "2", "--k", "1"],
+    ["export-transition", "--N", "1", "--n", "2", "--k", "1"],
+    ["sweep", "--N", "1", "--n", "2", "--trials", "2"],
+])
+@pytest.mark.parametrize("target", ["missing-dir/x.json", "."])
+def test_unwritable_out_path_is_usage_error(capsys, tmp_path, command, target):
+    # A missing parent directory and a directory in place of a file: the
+    # checks have run, but a bad --out path is still the caller's error.
+    path = tmp_path / target
+    code, out, err = run(capsys, *command, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out ") and err.count("\n") == 1
+
+
+def test_verify_corollary_verbose_builds_the_cocycle_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return jet_transition_matrix(*args)
+
+    monkeypatch.setattr(cli, "jet_transition_matrix", counted)
+    code, out, _ = run(capsys, "verify-corollary", "--N", "2", "--n", "3", "--k", "1",
+                       "--verbose", "--output", "json")
+    assert code == 0
+    assert calls == [(2, 3, 1)]
+    report = json.loads(out)
+    assert report["transition"] == transition_to_json_dict(jet_transition_matrix(2, 3, 1))
+
+
+@pytest.fixture
+def off_by_one_falling_factorial(monkeypatch):
+    # The wrong model: every falling factorial of the derivative map, and the
+    # ratios the trials compare, start one step too high. The kernels and
+    # the rank are unchanged, so only the equivariance trials can see it.
+    orig = jetmap._falling_factorial
+    monkeypatch.setattr(jetmap, "_falling_factorial", lambda p, s: orig(p + 1, s))
+
+
+def test_off_by_one_falling_factorial_fails_verify_theorem(capsys, off_by_one_falling_factorial):
+    code, out, _ = run(capsys, "verify-theorem", "--N", "2", "--n", "4", "--k", "2",
+                       "--trials", "20", "--output", "json")
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert result["pass"] is False
+    assert result["equivariance_failures"] > 0
+
+
+def test_off_by_one_falling_factorial_fails_every_sweep_triple(capsys, off_by_one_falling_factorial):
+    # The triples of one N share their stabilizer elements; a fault must
+    # still show in every triple, not only in the first one of each N.
+    code, out, _ = run(capsys, "sweep", "--N", "1", "2", "3", "--n", "2", "3", "4", "5",
+                       "--trials", "20", "--output", "json")
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert len(results) == 30
+    for row in results:
+        assert row["pass"] is False, (row["N"], row["n"], row["k"])
+        assert row["theorem"]["equivariance_failures"] > 0, (row["N"], row["n"], row["k"])

@@ -4,9 +4,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from pplab import jetmap
 from pplab.jetmap import (
     _falling_factorial,
     _trial_checks,
+    _trial_elements,
     exact_sequence_check,
     jet_basis,
     taylor_fiber_matrix,
@@ -17,6 +19,8 @@ from pplab.jetmap import (
 from pplab.linalg import RationalMatrix, kernel_basis, rref, subspace_equal
 from pplab.parabolic import (
     GroupElement,
+    _parabolic_from_rng,
+    _scaled_inverse_rows,
     chi,
     is_equivariant,
     random_parabolic,
@@ -206,7 +210,9 @@ def test_fast_path_agrees_with_matrix_path():
         ff = [_falling_factorial(m[0] + (n - k), n - k) for m in basis_k]
         for seed in range(8):
             g = random_parabolic(N, seed)
-            fast_phi, fast_quot = _trial_checks(g, N, n, k, ff)
+            fast_phi, fast_quot = _trial_checks(
+                g.parabolic_scalar, *_scaled_inverse_rows(g), N, n, k, ff
+            )
             assert fast_phi == is_equivariant(phi, src, dst, g)
             assert fast_quot  # implied by the full identity here
 
@@ -223,7 +229,8 @@ def test_trial_checks_reject_off_by_one_falling_factorials():
         basis_k = monomial_basis(N, k)
         for shift in (-1, 1):
             ff = [_falling_factorial(m[0] + (n - k) + shift, n - k) for m in basis_k]
-            assert _trial_checks(g, N, n, k, ff) == (False, False), (N, n, k, shift)
+            checks = _trial_checks(g.parabolic_scalar, *_scaled_inverse_rows(g), N, n, k, ff)
+            assert checks == (False, False), (N, n, k, shift)
 
 
 def test_trial_checks_reject_an_element_that_moves_the_line():
@@ -236,9 +243,63 @@ def test_trial_checks_reject_an_element_that_moves_the_line():
         g = SimpleNamespace(mat=RationalMatrix.from_rows(rows), parabolic_scalar=Fraction(1))
         basis_k = monomial_basis(N, k)
         ff = [_falling_factorial(m[0] + (n - k), n - k) for m in basis_k]
-        phi_ok, _ = _trial_checks(g, N, n, k, ff)
+        element = (g.parabolic_scalar, *_scaled_inverse_rows(g))
+        phi_ok, _ = _trial_checks(*element, N, n, k, ff)
         assert not phi_ok, (N, n, k)
         # The block-triangularity half of phi_ok is computed on its own: with
         # an all-zero list the section comparison passes vacuously, and only
         # the images of the small-x_0 monomials can fail the element.
-        assert _trial_checks(g, N, n, k, [0] * len(ff)) == (False, True), (N, n, k)
+        assert _trial_checks(*element, N, n, k, [0] * len(ff)) == (False, True), (N, n, k)
+
+
+def seeded_draws(N, trials, seed, height):
+    # What the trials of one verification must use: the elements drawn in
+    # order from random.Random(seed), as (a, B, c) with g^-1 = B / c.
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(trials):
+        g = _parabolic_from_rng(N, rng, height)
+        draws.append((g.parabolic_scalar, *_scaled_inverse_rows(g)))
+    return draws
+
+
+def test_report_does_not_depend_on_call_history(monkeypatch):
+    # The stabilizer elements are cached per (N, trials, seed, height); a
+    # report must come out the same cold, after another N, and after calls
+    # that draw with a different seed, height or number of trials. A passing
+    # report does not show which elements it used, so the elements each call
+    # hands to the trials are recorded and compared with an uncached draw.
+    seen = []
+    checks = jetmap._trial_checks
+
+    def recording(a, b_rows, c, *rest):
+        seen.append((a, b_rows, c))
+        return checks(a, b_rows, c, *rest)
+
+    monkeypatch.setattr(jetmap, "_trial_checks", recording)
+
+    def verify(N, n, k, trials=20, seed=5, height=3):
+        seen.clear()
+        report = verify_jet_representation(N, n, k, trials=trials, seed=seed, height=height)
+        assert seen == seeded_draws(N, trials, seed, height)
+        return report
+
+    _trial_elements.cache_clear()
+    cold = verify(2, 4, 2)
+    reports = [cold]
+    for other in [
+        dict(N=3, n=3, k=1),
+        dict(N=2, n=4, k=1, seed=6),
+        dict(N=2, n=4, k=2, height=4),
+        dict(N=2, n=4, k=2, trials=7),
+        dict(N=2, n=3, k=1),
+    ]:
+        verify(**other)
+        reports.append(verify(2, 4, 2))
+    assert all(report == cold for report in reports)
+    assert cold.passed
+
+
+def test_trial_elements_are_the_seeded_draws():
+    for (N, trials, seed, height) in [(1, 4, 0, 3), (3, 5, 11, 2), (2, 3, 7, 5)]:
+        assert list(_trial_elements(N, trials, seed, height)) == seeded_draws(N, trials, seed, height)

@@ -109,8 +109,9 @@ def test_truncated_substitution_images_are_restrictions():
             for max_tail in range(6):
                 cut = _substitution_images(rows, N, 5, max_tail)
                 for d in range(6):
+                    monos = monomial_basis(N, d).monomials
                     assert cut[d] == {
-                        mono: {m: c for m, c in image.items() if m[0] >= d - max_tail}
+                        mono: {m: c for m, c in image.items() if monos[m][0] >= d - max_tail}
                         for mono, image in full[d].items()
                     }, (N, rows, max_tail, d)
 
