@@ -69,6 +69,24 @@ def _report_skeleton(command: str, config: dict) -> dict:
     }
 
 
+def _out_error(path: str, exc: OSError) -> ParameterError:
+    return ParameterError(f"cannot write --out {path}: {exc.strerror or exc}")
+
+
+def _check_out(path: str) -> None:
+    """Open path for appending, so that a path that cannot be written fails
+    before any work; an existing file is not truncated, and a file the check
+    creates is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise _out_error(path, exc) from None
+    if not existed:
+        os.remove(path)
+
+
 def _write(text: str, path: str | None) -> None:
     """Print text, or write it to path; a path that cannot be written is a
     usage error, not an internal one."""
@@ -79,7 +97,7 @@ def _write(text: str, path: str | None) -> None:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     except OSError as exc:
-        raise ParameterError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+        raise _out_error(path, exc) from None
 
 
 def _emit(report: dict, args: argparse.Namespace, text: str) -> None:
@@ -389,6 +407,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: PPLAB_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
             return EXIT_USAGE
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -252,8 +252,7 @@ def _section_space_dim(data: TransitionData, m: int, degree_bound: int) -> int:
     chart-1 components of degree at most degree_bound.
 
     This undercounts the true section space when degree_bound is too small,
-    never overcounts; callers either use a provably sufficient bound or
-    validate the result downstream.
+    never overcounts; `h0_twisted` passes a bound proven to be large enough.
     """
     rho = data.rank
     unknowns = rho * (degree_bound + 1)
@@ -274,19 +273,23 @@ def _section_space_dim(data: TransitionData, m: int, degree_bound: int) -> int:
     return unknowns - rank
 
 
-def h0_twisted(data: TransitionData, m: int, degree_bound: int | None = None) -> int:
-    """Dimension of the twisted global sections h^0(E(m)) on the line.
+def h0_twisted(data: TransitionData, m: int) -> int:
+    """Dimension of the twisted global sections h^0(E(m)) on the line, exactly.
 
-    The default chart-1 degree bound is |m| + rank * (|lo| + |hi| + 1), with
-    (lo, hi) the exponent range of the cocycle. It is the bound used, not a
-    certified one: no proof is known that it reaches every section of every
-    unit-determinant cocycle, and a too-small bound undercounts. Pass a
-    shared explicit bound when comparing values across several twists.
+    The chart-1 degree bound is proven. With det T = c t^e, a section has
+    f_1(1/t) = c^-1 t^(-m-e) adj(T)(t) f_0(t). Entry (i, j) of adj(T) is a
+    signed minor without row j, so its exponents are at least the sum of the
+    least exponents of the other rows, which is at least
+    L = (sum of the row minima) - (largest row minimum). As f_0 is a
+    polynomial in t, every exponent of f_1(1/t) is at least L - m - e, so
+    deg f_1 <= max(0, m + e - L) holds for every section.
     """
-    if degree_bound is None:
-        lo, hi = data.matrix.exponent_range()
-        degree_bound = abs(m) + data.rank * (abs(lo) + abs(hi) + 1)
-    return _section_space_dim(data, m, degree_bound)
+    row_mins = [
+        min(p.min_exp for p in data.matrix.row(i) if not p.is_zero())
+        for i in range(data.rank)
+    ]
+    least = sum(row_mins) - max(row_mins)
+    return _section_space_dim(data, m, max(0, m + data.det_parts()[1] - least))
 
 
 def splitting_type(data: TransitionData) -> SplittingType:
@@ -297,11 +300,11 @@ def splitting_type(data: TransitionData) -> SplittingType:
     and after one the cocycle is the direct sum of these blocks, so its
     splitting type is the union of theirs. Each block is wrapped in its own
     TransitionData, so its unit-determinant check and its degree bounds come
-    from its own rank and exponent range; blocks with identical entries are
-    computed once per call. The jet cocycle is block-diagonal by the tail
-    exponents (alpha_2, ..., alpha_N) of the jet monomials. A block that is
-    not square, or whose degrees do not sum to its determinant exponent,
-    raises ArithmeticError.
+    from its own entries; blocks with identical entries are computed once per
+    call. The jet cocycle is block-diagonal by the tail exponents
+    (alpha_2, ..., alpha_N) of the jet monomials. A block that is not square,
+    or whose degrees do not sum to its determinant exponent, raises
+    ArithmeticError.
     """
     matrix = data.matrix
     found: dict[LaurentMatrix, list[int]] = {}
@@ -321,61 +324,44 @@ def splitting_type(data: TransitionData) -> SplittingType:
 
 
 def _block_degrees(data: TransitionData) -> list[int]:
-    """Degrees of one block, from first differences of the twisted section
-    counts: #(degrees >= -m) = h0(m) - h0(m-1).
+    """Degrees of one block, from first differences of its exact section
+    counts: g(m) = h0(m) - h0(m-1) is the number of degrees >= -m.
 
-    All twist evaluations in one pass share a single chart-1 degree bound, so
-    the difference counts are honest lower bounds of the true ones; a result
-    is only returned once the recovered degree count equals the rank and the
-    degree sum equals the determinant exponent, which together force the
-    multiset to be exactly right. Failing that, the degree bound is enlarged.
+    The twist window [a, b] starts at the average degree, b = -floor(e/rank)
+    and a = b - 1, so three counts settle a uniform block. It widens one
+    twist at a time until g(a) = 0 and g(b) = rank; the multiplicity of
+    degree -m is then g(m) - g(m-1).
     """
-    c, e_det = data.det_parts()
+    _, e_det = data.det_parts()
     rho = data.rank
     lo, hi = data.matrix.exponent_range()
-    spread = hi - lo
     window_cap = rho * (abs(lo) + abs(hi) + 1) + abs(e_det) + 1
-    escalation = rho * (abs(lo) + abs(hi) + 1)
+    h0: dict[int, int] = {}
 
-    for attempt in range(4):
-        # Fast probe for the uniform case, centered on the average degree.
-        if e_det % rho == 0:
-            d_bar = e_det // rho
-            bound = abs(d_bar) + 2 + spread + rho + attempt * escalation
-            h0_vals = [
-                _section_space_dim(data, m, bound)
-                for m in (-d_bar - 2, -d_bar - 1, -d_bar)
-            ]
-            if h0_vals[1] - h0_vals[0] == 0 and h0_vals[2] - h0_vals[1] == rho:
-                return [d_bar] * rho
+    def g(m: int) -> int:
+        for twist in (m - 1, m):
+            if twist not in h0:
+                h0[twist] = h0_twisted(data, twist)
+        return h0[m] - h0[m - 1]
 
-        a, b = -hi - 1, -lo + 1
-        while True:
-            bound = max(abs(a - 1), abs(b)) + spread + rho + attempt * escalation
-            h0_vals = {m: _section_space_dim(data, m, bound) for m in range(a - 1, b + 1)}
-            g = {m: h0_vals[m] - h0_vals[m - 1] for m in range(a, b + 1)}
-            if g[a] != 0 and a >= -window_cap:
-                a -= 1
-                continue
-            if g[b] != rho and b <= window_cap:
-                b += 1
-                continue
-            break
-        if g[a] != 0 or g[b] != rho:
+    b = -(e_det // rho)
+    a = b - 1
+    while g(a) != 0 or g(b) != rho:
+        if g(a) != 0:
+            a -= 1
+        else:
+            b += 1
+        if a < -window_cap or b > window_cap:
             raise ArithmeticError(
                 "twist window failed to stabilize; transition data is not a unit cocycle"
             )
-        degrees: list[int] = []
-        ok = True
-        for m in range(a + 1, b + 1):
-            mult = g[m] - g[m - 1]
-            if mult < 0:
-                ok = False
-                break
-            degrees.extend([-m] * mult)
-        if ok and len(degrees) == rho and sum(degrees) == e_det:
-            return degrees
-    raise ArithmeticError("splitting extraction did not validate at the maximal degree bound")
+    degrees: list[int] = []
+    for m in range(a + 1, b + 1):
+        mult = g(m) - g(m - 1)
+        if mult < 0:
+            raise ArithmeticError(f"negative multiplicity of degree {-m} in the section counts")
+        degrees.extend([-m] * mult)
+    return degrees
 
 
 def jet_splitting_check(

@@ -103,6 +103,33 @@ def test_non_uniform_cocycle_is_a_counterexample(capsys, monkeypatch, command):
     assert report["overall_pass"] is False
 
 
+def twisted_jet_cocycle(shift):
+    # The jet cocycle times t^shift: still a unit cocycle, split uniformly,
+    # but of degree n-k+shift, so the window search starts on a wrong degree.
+    def build(N, n, k):
+        data = jet_transition_matrix(N, n, k)
+        entries = tuple(p.shift(shift) for p in data.matrix.entries)
+        return TransitionData(data.rank, LaurentMatrix(data.rank, data.rank, entries))
+
+    return build
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+@pytest.mark.parametrize("command", [
+    ["verify-corollary", "--N", "2", "--n", "4", "--k", "2"],
+    ["sweep", "--N", "2", "--n", "4", "--k", "2", "--trials", "2"],
+])
+def test_twisted_cocycle_is_a_counterexample(capsys, monkeypatch, command, shift):
+    monkeypatch.setattr(cli, "jet_transition_matrix", twisted_jet_cocycle(shift))
+    code, out, err = run(capsys, *command, "--output", "json")
+    assert code == 1, err
+    report = json.loads(out)
+    split = report["result"] if "result" in report else report["results"][0]["splitting"]
+    assert split["pass"] is False
+    assert split["degrees"] == [4 - 2 + shift] * split["multiplicity"]
+    assert report["overall_pass"] is False
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     # An exception from inside a check is neither a counterexample (1) nor a
     # usage error (2).
@@ -231,6 +258,33 @@ def test_unwritable_out_path_is_usage_error(capsys, tmp_path, command, target):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot write --out ") and err.count("\n") == 1
+
+
+def test_unwritable_out_path_fails_before_any_check(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def recorded(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    monkeypatch.setattr(cli, "verify_jet_representation", recorded("theorem"))
+    monkeypatch.setattr(cli, "jet_transition_matrix", recorded("cocycle"))
+    code, out, err = run(capsys, "sweep", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out ")
+    assert calls == []
+
+
+def test_out_check_keeps_an_existing_file_and_creates_none(capsys, tmp_path):
+    kept = tmp_path / "kept.txt"
+    kept.write_text("old report\n")
+    code, _, _ = run(capsys, "dims", "--N", "1", "--n", "2", "--k", "5", "--out", str(kept))
+    assert code == 2
+    assert kept.read_text() == "old report\n"
+    code, _, _ = run(capsys, "dims", "--N", "1", "--n", "2", "--k", "5",
+                     "--out", str(tmp_path / "new.txt"))
+    assert code == 2
+    assert not (tmp_path / "new.txt").exists()
 
 
 def test_verify_corollary_verbose_builds_the_cocycle_once(capsys, monkeypatch):

@@ -3,7 +3,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pplab import splitting
 from pplab.jetmap import jet_basis
 from pplab.laurent import LaurentMatrix, LaurentPoly, block_components, det_laurent
 from pplab.splitting import (
@@ -119,12 +121,62 @@ def test_h0_monotone_with_bounded_differences():
     for trial in range(5):
         exps = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
         data = diag_powers(*exps)
-        bound = 30
-        values = [h0_twisted(data, m, degree_bound=bound) for m in range(-6, 7)]
+        values = [h0_twisted(data, m) for m in range(-6, 7)]
         diffs = [b - a for a, b in zip(values, values[1:])]
         assert all(d >= 0 for d in diffs)
         assert all(d <= data.rank for d in diffs)
         assert diffs == sorted(diffs)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.integers(-5, 5), min_size=1, max_size=5),
+    st.integers(0, 2**32 - 1),
+)
+def test_h0_of_gauged_cocycle_matches_closed_form(degrees, seed):
+    data = TransitionData(len(degrees), gauged(random.Random(seed), degrees))
+    for m in range(-8, 9):
+        assert h0_twisted(data, m) == sum(max(0, d + m + 1) for d in degrees), m
+
+
+@pytest.mark.parametrize(
+    "N,n,k", [(N, n, k) for N in (1, 2, 3) for n in range(1, 7) for k in range(n)]
+)
+def test_h0_of_jet_cocycle_matches_closed_form(N, n, k):
+    data = jet_transition_matrix(N, n, k)
+    for m in range(k - n - 2, k - n + 3):
+        assert h0_twisted(data, m) == binomial(N + k, N) * max(0, n - k + m + 1), m
+
+
+def criterion_6_cases():
+    """The 50 gauged cocycles of acceptance criterion 6, with their degrees."""
+    rng = random.Random(20240201)
+    for _ in range(50):
+        rank = rng.randint(1, 4)
+        degrees = [rng.randint(-4, 4) for _ in range(rank)]
+        diag = LaurentMatrix.diagonal([LaurentPoly.t_pow(d) for d in degrees])
+        left = random_unimodular(rank, rng, inverse_variable=False)
+        right = random_unimodular(rank, rng, inverse_variable=True)
+        yield TransitionData(rank, left @ diag @ right), degrees
+
+
+def test_undercounted_sections_raise_instead_of_giving_wrong_degrees(monkeypatch):
+    # With the chart-1 degree bound capped at 0, h0 undercounts; the checks
+    # on the twist window, the multiplicities and the degree sum must then
+    # refuse the answer rather than return a wrong splitting.
+    exact = splitting._section_space_dim
+    monkeypatch.setattr(
+        splitting, "_section_space_dim", lambda data, m, bound: exact(data, m, min(bound, 0))
+    )
+    raised = 0
+    for data, degrees in criterion_6_cases():
+        try:
+            found = splitting_type(data).degrees
+        except ArithmeticError:
+            raised += 1
+            continue
+        assert found == tuple(sorted(degrees, reverse=True))
+    assert raised > 0
 
 
 # --- splitting extraction -------------------------------------------------
