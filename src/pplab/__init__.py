@@ -34,6 +34,7 @@ from .jetmap import (
     jet_basis,
     taylor_fiber_matrix,
     verify_jet_representation,
+    verify_jet_representations,
     verify_kernel,
     x0_derivative_matrix,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "jet_basis",
     "taylor_fiber_matrix",
     "verify_jet_representation",
+    "verify_jet_representations",
     "verify_kernel",
     "x0_derivative_matrix",
     "SplittingType",

@@ -19,7 +19,13 @@ import sys
 import time
 
 from . import __version__
-from .jetmap import JetRepReport, exact_sequence_check, verify_jet_representation
+from .jetmap import (
+    JetRepReport,
+    exact_sequence_check,
+    verify_jet_representation,
+    verify_jet_representations,
+    x0_derivative_matrix,
+)
 from .splitting import (
     TransitionData,
     jet_splitting_check,
@@ -28,7 +34,6 @@ from .splitting import (
     transition_to_json_dict,
 )
 from .symspace import binomial, codimension_identity, dim_sym, m_power_subspace
-from .jetmap import x0_derivative_matrix
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -242,38 +247,44 @@ def run_sweep(
 ) -> dict:
     """Run all checks over every (N, n, k) with 1 <= k < n inside the ranges.
 
-    The report is assembled in (N, n, k) order, so its JSON form is
-    deterministic for a fixed configuration and seed.
+    The triples of one N share their stabilizer elements, so they are
+    verified together, in one pass over the elements. The report is
+    assembled in (N, n, k) order, so its JSON form is deterministic for a
+    fixed configuration and seed.
     """
     start = time.monotonic()
     results = []
     overall = True
     for N in sorted(set(n_values)):
-        for n in sorted(set(degree_values)):
-            ks = [k for k in range(1, n) if k_values is None or k in k_values]
-            for k in ks:
-                theorem = verify_jet_representation(
-                    N, n, k, trials=trials, seed=seed, height=height
-                )
-                sequence_ok = exact_sequence_check(N, n, k)
-                dims_ok = codimension_identity(N, n, k)
-                split = _splitting_result(jet_transition_matrix(N, n, k), N, n, k)
-                triple_pass = (
-                    theorem.passed and sequence_ok and dims_ok and split["pass"]
-                )
-                overall = overall and triple_pass
-                results.append(
-                    {
-                        "N": N,
-                        "n": n,
-                        "k": k,
-                        "theorem": _theorem_result(theorem),
-                        "sequence_exact": sequence_ok,
-                        "dimension_identity": dims_ok,
-                        "splitting": split,
-                        "pass": triple_pass,
-                    }
-                )
+        degrees = [
+            (n, k)
+            for n in sorted(set(degree_values))
+            for k in range(1, n)
+            if k_values is None or k in k_values
+        ]
+        if not degrees:
+            continue
+        theorems = verify_jet_representations(
+            N, degrees, trials=trials, seed=seed, height=height
+        )
+        for (n, k), theorem in zip(degrees, theorems):
+            sequence_ok = exact_sequence_check(N, n, k)
+            dims_ok = codimension_identity(N, n, k)
+            split = _splitting_result(jet_transition_matrix(N, n, k), N, n, k)
+            triple_pass = theorem.passed and sequence_ok and dims_ok and split["pass"]
+            overall = overall and triple_pass
+            results.append(
+                {
+                    "N": N,
+                    "n": n,
+                    "k": k,
+                    "theorem": _theorem_result(theorem),
+                    "sequence_exact": sequence_ok,
+                    "dimension_identity": dims_ok,
+                    "splitting": split,
+                    "pass": triple_pass,
+                }
+            )
     report = _report_skeleton(
         "sweep",
         {

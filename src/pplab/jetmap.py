@@ -14,11 +14,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .linalg import RationalMatrix, kernel_basis, rref, subspace_equal
-from .parabolic import _parabolic_from_rng, _scaled_inverse_rows, _substitution_images
+from .parabolic import (
+    _parabolic_from_rng,
+    _scalar_character,
+    _scaled_inverse_rows,
+    _substitution_images,
+)
 from .symspace import MultiIndex, binomial, dim_sym, m_power_subspace, monomial_basis
 
 
@@ -159,78 +163,155 @@ class JetRepReport:
         )
 
 
-@lru_cache(maxsize=1)
 def _trial_elements(
     N: int, trials: int, seed: int, height: int
-) -> tuple[tuple[Fraction, tuple[tuple[int, ...], ...], int], ...]:
-    """The stabilizer elements of one verification, as (a, B, c) each.
+) -> Iterator[tuple[Fraction, tuple[tuple[int, ...], ...], int]]:
+    """The stabilizer elements of one verification, as (a, B, c) each, one
+    at a time.
 
     Draws `trials` elements with `_parabolic_from_rng` from
     random.Random(seed), so each is built as a `GroupElement` and passes its
-    determinant-1 and shape checks, and returns for each its corner scalar a
-    and the integer rows B and clearing denominator c of its inverse, g^-1 =
-    B / c. The elements depend on N but not on n or k, and a sweep verifies
-    the triples of one N one after another, so the single cached entry
-    serves them all.
+    determinant-1 and shape checks, and yields for each its corner scalar a
+    and the integer rows B and clearing denominator c of its inverse,
+    g^-1 = B / c, which the draw supplies. The first element's B / c is
+    compared with its inverse by Gauss-Jordan elimination, so a fault in the
+    closed form raises ArithmeticError instead of failing the trials as if
+    it were a counterexample.
     """
-    out = []
     rng = random.Random(seed)
-    for _ in range(trials):
+    for trial in range(trials):
         g = _parabolic_from_rng(N, rng, height)
-        out.append((g.parabolic_scalar, *_scaled_inverse_rows(g)))
-    return tuple(out)
+        b_rows, c = _scaled_inverse_rows(g)
+        if trial == 0:
+            drawn_inverse = RationalMatrix.from_rows(b_rows).scale(Fraction(1, c))
+            if drawn_inverse != g.mat.inverse():
+                raise ArithmeticError("a drawn element's inverse disagrees with elimination")
+        yield g.parabolic_scalar, b_rows, c
 
 
 def _trial_checks(
+    levels: Sequence[dict[int, dict[int, int]]],
     a: Fraction,
-    b_rows: Sequence[Sequence[int]],
     c: int,
-    N: int,
     n: int,
     k: int,
-    ff: list[int],
+    ff: Sequence[int],
 ) -> tuple[bool, bool]:
-    """Integer-arithmetic equivariance checks for one stabilizer element g,
-    given by its corner scalar a and its inverse cleared to integer rows,
-    g^-1 = b_rows / c. Returns (phi_ok, quot_ok).
+    """Integer-arithmetic equivariance checks of one triple (N, n, k) at one
+    stabilizer element g, given by its corner scalar a and the substitution
+    images `levels = _substitution_images(B, N, max_n, max_k)` of its inverse
+    cleared to integer rows, g^-1 = B / c, for some max_n >= n and
+    max_k >= k. Returns (phi_ok, quot_ok).
 
-    The degree-d action is the integer substitution x_i -> row_i(b_rows)
-    divided by c^d, so both intertwiner identities reduce to integer
-    equalities after cross-multiplying by the single rational
-    r = (c/a)^(n-k) = p/q.
+    The degree-d action is the integer substitution x_i -> row_i(B) divided
+    by c^d, so both intertwiner identities reduce to integer equalities after
+    cross-multiplying by the single rational r = c^(n-k) a^-(n-k) = p/q, the
+    normalizations' ratio times the P-character of the twist.
 
     The derivative map reads only the degree-n monomials of x_0-exponent
     >= n-k (the section, the first dim_k of the basis, aligned
-    index-for-index with the degree-k basis), so the images are expanded
-    modulo (x_1, ..., x_N)^(k+1): a truncated degree-n image has keys in the
-    section only, and degree-k images are untouched. Images are keyed by
-    basis index, so the section row of a degree-n key is the key itself.
-    quot_ok compares, column by column, q * ff[row] times the image of each
-    section monomial with p * ff[col] times the degree-k image, where ff[i]
-    is the falling factorial the derivative map puts on section monomial i.
-    phi_ok adds the block-triangularity of the degree-n action: every
-    monomial outside the section must have an empty truncated image, i.e.
-    stay in the small-x_0 span.
+    index-for-index with the degree-k basis), which are the terms that
+    survive modulo (x_1, ..., x_N)^(k+1). The levels are taken modulo the
+    smaller ideal (x_1, ..., x_N)^(max_k+1); both quotient maps are ring
+    maps, and the one to the larger ideal drops exactly the keys from
+    binom(k+N, N) = dim_k up. So the degree-n images restricted to keys
+    below dim_k are the ones the triple reads, and the degree-k images,
+    k <= max_k, are complete. Images are keyed by basis index, so the
+    section row of a degree-n key is the key itself. quot_ok compares, column
+    by column, q * ff[row] times the restricted image of each section
+    monomial with p * ff[col] times the degree-k image, where ff[i] is the
+    falling factorial the derivative map puts on section monomial i. phi_ok
+    adds the block-triangularity of the degree-n action: no monomial outside
+    the section may have a key below dim_k in its image, i.e. each must stay
+    in the small-x_0 span.
     """
-    levels = _substitution_images(b_rows, N, n, k)
     img_n, img_k = levels[n], levels[k]
     dim_k = len(img_k)
-    r = (Fraction(c) / a) ** (n - k)
+    r = c ** (n - k) * _scalar_character(a, n - k)
     p, q = r.numerator, r.denominator
 
     quot_ok = True
     for col in range(dim_k):
-        lhs = {row: q * ff[row] * coeff for row, coeff in img_n[col].items() if ff[row]}
+        lhs = {
+            row: q * ff[row] * coeff
+            for row, coeff in img_n[col].items()
+            if row < dim_k and ff[row]
+        }
         rhs = {row: p * ff[col] * coeff for row, coeff in img_k[col].items()} if ff[col] else {}
         if lhs != rhs:
             quot_ok = False
             break
-    phi_ok = quot_ok and not any(img_n[mono] for mono in range(dim_k, len(img_n)))
+    phi_ok = quot_ok and all(
+        min(img_n[mono], default=dim_k) >= dim_k for mono in range(dim_k, len(img_n))
+    )
     return phi_ok, quot_ok
 
 
+def _equivariance_pass(
+    N: int, degrees: Sequence[tuple[int, int]], trials: int, seed: int, height: int
+) -> list[tuple[int, bool]]:
+    """The equivariance trials of every (n, k) in `degrees`, in one pass
+    over the stabilizer elements of N: (failures, quotient_ok) per (n, k).
+
+    The elements do not depend on n or k, so each is drawn and then expanded
+    once, by `_substitution_images` up to degree max_n modulo
+    (x_1, ..., x_N)^(max_k+1), with max_n and max_k the largest n and k in
+    `degrees`. That ideal lies inside each triple's (x_1, ..., x_N)^(k+1),
+    so restricting the expansion gives every triple the images it reads (see
+    `_trial_checks`). Each element's expansion is checked against every
+    triple and then dropped, so no more than one is held at a time.
+    """
+    ffs = [
+        [_falling_factorial(mono[0] + (n - k), n - k) for mono in monomial_basis(N, k)]
+        for n, k in degrees
+    ]
+    max_n = max(n for n, _ in degrees)
+    max_k = max(k for _, k in degrees)
+    failures = [0] * len(degrees)
+    quotient_ok = [all(f != 0 for f in ff) for ff in ffs]
+    for a, b_rows, c in _trial_elements(N, trials, seed, height):
+        levels = _substitution_images(b_rows, N, max_n, max_k)
+        for i, (n, k) in enumerate(degrees):
+            phi_ok, quot_ok = _trial_checks(levels, a, c, n, k, ffs[i])
+            if not phi_ok:
+                failures[i] += 1
+            if not quot_ok:
+                quotient_ok[i] = False
+    return list(zip(failures, quotient_ok))
+
+
+def verify_jet_representations(
+    N: int,
+    degrees: Sequence[tuple[int, int]],
+    trials: int = 100,
+    seed: int = 0,
+    height: int = 3,
+) -> list[JetRepReport]:
+    """`verify_jet_representation` of every (n, k) in `degrees`, in order,
+    with the equivariance trials of all of them run in one pass over the
+    stabilizer elements of N (`_equivariance_pass`)."""
+    if not degrees:
+        raise ValueError("require at least one (n, k)")
+    for n, k in degrees:
+        _check_jet_params(N, n, k)
+    if trials < 1:
+        raise ValueError(f"require trials >= 1, got trials={trials}")
+    tallies = _equivariance_pass(N, degrees, trials, seed, height)
+    return [
+        verify_jet_representation(N, n, k, trials, seed, height, _tally=tally)
+        for (n, k), tally in zip(degrees, tallies)
+    ]
+
+
 def verify_jet_representation(
-    N: int, n: int, k: int, trials: int = 100, seed: int = 0, height: int = 3
+    N: int,
+    n: int,
+    k: int,
+    trials: int = 100,
+    seed: int = 0,
+    height: int = 3,
+    *,
+    _tally: tuple[int, bool] | None = None,
 ) -> JetRepReport:
     """Full randomized verification that the jet fiber carries the twisted
     degree-k action.
@@ -241,37 +322,29 @@ def verify_jet_representation(
     twisted degree-k action and that the induced map on the monomial section
     (x_0-exponent >= n-k) is an invertible intertwiner. Raises ValueError
     when `trials` is below 1, which would pass with no equivariance evidence.
+
+    The trials are the one-triple case of `_equivariance_pass`: with
+    max_n = n and max_k = k, each element is expanded modulo exactly the
+    ideal (x_1, ..., x_N)^(k+1) that the triple reads, and nothing is
+    restricted away. `verify_jet_representations` runs one pass for several
+    triples and hands each its (failures, quotient_ok) as `_tally`.
     """
     _check_jet_params(N, n, k)
     if trials < 1:
         raise ValueError(f"require trials >= 1, got trials={trials}")
-    phi = x0_derivative_matrix(N, n, k)
+    if _tally is None:
+        (_tally,) = _equivariance_pass(N, [(n, k)], trials, seed, height)
+    failures, quotient_ok = _tally
+    # One elimination of the derivative map gives both its kernel and its rank.
+    phi = rref(x0_derivative_matrix(N, n, k))
     sub = m_power_subspace(N, n, k)
-    ker_phi = kernel_basis(phi)
-    ker_taylor = kernel_basis(taylor_fiber_matrix(N, n, k))
-    kernel_matches = subspace_equal(ker_phi, sub)
-    taylor_kernel_matches = subspace_equal(ker_taylor, sub)
-    rank_correct = rref(phi).rank == binomial(k + N, N)
-
-    basis_k = monomial_basis(N, k)
-    ff = [_falling_factorial(mono[0] + (n - k), n - k) for mono in basis_k]
-    quotient_invertible = all(f != 0 for f in ff)
-
-    failures = 0
-    quotient_ok = quotient_invertible
-    for a, b_rows, c in _trial_elements(N, trials, seed, height):
-        phi_ok, quot_ok = _trial_checks(a, b_rows, c, N, n, k, ff)
-        if not phi_ok:
-            failures += 1
-        if not quot_ok:
-            quotient_ok = False
     return JetRepReport(
         N=N,
         n=n,
         k=k,
-        kernel_matches=kernel_matches,
-        taylor_kernel_matches=taylor_kernel_matches,
-        rank_correct=rank_correct,
+        kernel_matches=subspace_equal(phi.kernel(), sub),
+        taylor_kernel_matches=subspace_equal(kernel_basis(taylor_fiber_matrix(N, n, k)), sub),
+        rank_correct=phi.rank == binomial(k + N, N),
         equivariance_trials=trials,
         equivariance_failures=failures,
         quotient_iso_equivariant=quotient_ok,

@@ -220,6 +220,20 @@ class RrefResult:
     pivots: tuple[int, ...]
     rank: int
 
+    def kernel(self) -> "Subspace":
+        """Null space of the reduced matrix, and so of the matrix it came
+        from, as a canonical subspace: one vector per free column."""
+        cols = self.matrix.cols
+        pivot_set = set(self.pivots)
+        vectors = []
+        for f in (c for c in range(cols) if c not in pivot_set):
+            v = [Fraction(0)] * cols
+            v[f] = Fraction(1)
+            for i, p in enumerate(self.pivots):
+                v[p] = -self.matrix.entry(i, f)
+            vectors.append(v)
+        return Subspace.from_vectors(vectors, cols)
+
 
 def rref(m: RationalMatrix) -> RrefResult:
     """Reduced row-echelon form: pivot entries 1, zeros above and below,
@@ -278,14 +292,4 @@ def subspace_equal(a: Subspace, b: Subspace) -> bool:
 
 def kernel_basis(m: RationalMatrix) -> Subspace:
     """Null space of m as a canonical subspace of Q^cols."""
-    red = rref(m)
-    pivot_set = set(red.pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    vectors = []
-    for f in free_cols:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(red.pivots):
-            v[p] = -red.matrix.entry(i, f)
-        vectors.append(v)
-    return Subspace.from_vectors(vectors, m.cols)
+    return rref(m).kernel()

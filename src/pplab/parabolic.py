@@ -80,6 +80,13 @@ def _parabolic_from_rng(N: int, rng: random.Random, height: int) -> GroupElement
     the reciprocal of one. The lower-right block starts from the identity,
     gets shuffled by determinant-1 integer row operations, and then has one
     row scaled by 1/a so the total determinant is exactly 1.
+
+    The element carries its inverse from the draw, cleared to integer rows
+    for `_scaled_inverse_rows`. With E the product of the row operations and
+    s the first row's tail, g = [[a, s], [0, S E]] where S scales the chosen
+    row by 1/a, so the block's inverse E^-1 S^-1 is the identity under the
+    inverse row operations in reverse order, with the chosen column scaled by
+    a, and g^-1 = [[1/a, -s (S E)^-1 / a], [0, (S E)^-1]].
     """
     if height < 1:
         raise ValueError("height must be at least 1")
@@ -87,7 +94,8 @@ def _parabolic_from_rng(N: int, rng: random.Random, height: int) -> GroupElement
     sign = rng.choice((1, -1))
     a = Fraction(sign * mag) if rng.random() < 0.5 else Fraction(sign, mag)
     stars = [rng.randint(-height, height) for _ in range(N)]
-    block = [[Fraction(int(i == j)) for j in range(N)] for i in range(N)]
+    block = [[int(i == j) for j in range(N)] for i in range(N)]
+    ops = []
     if N >= 2:
         for _ in range(2 * N):
             i = rng.randrange(N)
@@ -96,12 +104,21 @@ def _parabolic_from_rng(N: int, rng: random.Random, height: int) -> GroupElement
                 j = rng.randrange(N)
             c = rng.randint(-height, height)
             block[i] = [x + c * y for x, y in zip(block[i], block[j])]
+            ops.append((i, j, c))
     scaled = rng.randrange(N)
-    block[scaled] = [x / a for x in block[scaled]]
     rows = [[a] + [Fraction(s) for s in stars]]
     for i in range(N):
-        rows.append([Fraction(0)] + block[i])
-    return GroupElement(RationalMatrix.from_rows(rows), a)
+        rows.append([Fraction(0)] + [x / a if i == scaled else Fraction(x) for x in block[i]])
+    g = GroupElement(RationalMatrix.from_rows(rows), a)
+
+    undo = [[int(i == j) for j in range(N)] for i in range(N)]
+    for i, j, c in reversed(ops):
+        undo[i] = [x - c * y for x, y in zip(undo[i], undo[j])]
+    block_inv = [[x * a if j == scaled else Fraction(x) for j, x in enumerate(row)] for row in undo]
+    head = [-sum(s * row[j] for s, row in zip(stars, block_inv)) / a for j in range(N)]
+    inverse = [[1 / a] + head] + [[Fraction(0)] + row for row in block_inv]
+    object.__setattr__(g, "_inverse_rows", _cleared(inverse))
+    return g
 
 
 def random_parabolic(N: int, seed: int, height: int = 3) -> GroupElement:
@@ -118,12 +135,22 @@ def dual_action_matrix(g: GroupElement) -> RationalMatrix:
     return g.mat.inverse().transpose()
 
 
+def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rational rows times the lcm c of their denominators: (integer rows, c)."""
+    c = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(int(x * c) for x in row) for row in rows), c
+
+
 def _scaled_inverse_rows(g: GroupElement) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Rows of g^-1 cleared to integers: returns (rows, c) with g^-1 = rows / c."""
+    """Rows of g^-1 cleared to integers: returns (rows, c) with g^-1 = rows / c.
+
+    An element drawn by `_parabolic_from_rng` brings them from its draw; any
+    other element is inverted by Gauss-Jordan elimination."""
+    drawn = g.__dict__.get("_inverse_rows")
+    if drawn is not None:
+        return drawn
     inv = g.mat.inverse()
-    c = lcm(*(x.denominator for x in inv.entries))
-    rows = tuple(tuple(int(x * c) for x in inv.row(i)) for i in range(inv.rows))
-    return rows, c
+    return _cleared([inv.row(i) for i in range(inv.rows)])
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +253,12 @@ def chi(g: GroupElement, n: int) -> Fraction:
     """Character a^-n of a stabilizer element; the weight of the degree-n line."""
     if not g.is_parabolic:
         raise ValueError("character is only defined for line-stabilizer elements")
-    return g.parabolic_scalar ** (-n)
+    return _scalar_character(g.parabolic_scalar, n)
+
+
+def _scalar_character(a: Fraction, n: int) -> Fraction:
+    """The character a^-n, from the corner scalar a alone."""
+    return a ** (-n)
 
 
 def target_rep_action(g: GroupElement, n: int, k: int) -> RationalMatrix:

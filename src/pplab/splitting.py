@@ -22,7 +22,7 @@ vectors (f_0(t), f_1(s)) with f_0(t) = t^m * T(t) * f_1(1/t).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,19 +40,30 @@ DEFAULT_SAMPLE_POINTS: tuple[Fraction, ...] = (
 
 @dataclass(frozen=True)
 class TransitionData:
-    """A rank-r Laurent cocycle on the two-chart line, with unit determinant."""
+    """A rank-r Laurent cocycle on the two-chart line, with unit determinant.
+
+    `det`, when given, is taken as the determinant of the matrix instead of
+    computing it; `splitting_type` passes each block's down from the whole
+    cocycle's. The determinants of the distinct diagonal blocks are kept
+    when the determinant is computed here.
+    """
 
     rank: int
     matrix: LaurentMatrix
     convention: str = "chart0_jet(t) = T(t) @ chart1_jet(t)"
+    det: InitVar[LaurentPoly | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, det: LaurentPoly | None) -> None:
         if self.matrix.rows != self.rank or self.matrix.cols != self.rank:
             raise ValueError("matrix shape does not match the rank")
-        parts = det_laurent(self.matrix).monomial_parts()
+        block_dets: dict[LaurentMatrix, LaurentPoly] = {}
+        if det is None:
+            det = det_laurent(self.matrix, block_dets)
+        parts = det.monomial_parts()
         if parts is None or parts[0] == 0:
             raise ValueError("transition determinant is not a unit (c * t^e)")
         object.__setattr__(self, "_det_parts", parts)
+        object.__setattr__(self, "_block_dets", block_dets)
 
     def det_parts(self) -> tuple[Fraction, int]:
         """(c, e) with det = c * t^e; the exponent is the first Chern class."""
@@ -300,8 +311,9 @@ def splitting_type(data: TransitionData) -> SplittingType:
     and after one the cocycle is the direct sum of these blocks, so its
     splitting type is the union of theirs. Each block is wrapped in its own
     TransitionData, so its unit-determinant check and its degree bounds come
-    from its own entries; blocks with identical entries are computed once per
-    call. The jet cocycle is block-diagonal by the tail exponents
+    from its own entries, with the determinant the whole cocycle's
+    `det_laurent` took for it; blocks with identical entries are computed
+    once per call. The jet cocycle is block-diagonal by the tail exponents
     (alpha_2, ..., alpha_N) of the jet monomials. A block that is not square,
     or whose degrees do not sum to its determinant exponent, raises
     ArithmeticError.
@@ -314,7 +326,11 @@ def splitting_type(data: TransitionData) -> SplittingType:
             raise ArithmeticError("cocycle has a non-square block, so its determinant is 0")
         block = matrix if len(rows) == data.rank else matrix.submatrix(rows, cols)
         if block not in found:
-            part = data if block is matrix else TransitionData(len(rows), block)
+            part = (
+                data
+                if block is matrix
+                else TransitionData(len(rows), block, det=data._block_dets.get(block))
+            )
             part_degrees = _block_degrees(part)
             if sum(part_degrees) != part.det_parts()[1]:
                 raise ArithmeticError("block degrees do not sum to its determinant exponent")

@@ -267,6 +267,7 @@ def test_unwritable_out_path_fails_before_any_check(capsys, tmp_path, monkeypatc
         return lambda *args, **kwargs: calls.append(name)
 
     monkeypatch.setattr(cli, "verify_jet_representation", recorded("theorem"))
+    monkeypatch.setattr(cli, "verify_jet_representations", recorded("theorems"))
     monkeypatch.setattr(cli, "jet_transition_matrix", recorded("cocycle"))
     code, out, err = run(capsys, "sweep", "--out", str(tmp_path))
     assert code == 2
@@ -332,3 +333,46 @@ def test_off_by_one_falling_factorial_fails_every_sweep_triple(capsys, off_by_on
     for row in results:
         assert row["pass"] is False, (row["N"], row["n"], row["k"])
         assert row["theorem"]["equivariance_failures"] > 0, (row["N"], row["n"], row["k"])
+
+
+@pytest.fixture(params=[1, -1], ids=["twist n-k+1", "twist n-k-1"])
+def wrong_twist(monkeypatch, request):
+    # The wrong target: the degree-k forms twisted by the P-character of
+    # n-k+1 or n-k-1 instead of n-k. Kernels and ranks do not see it.
+    orig = jetmap._scalar_character
+    monkeypatch.setattr(jetmap, "_scalar_character", lambda a, d: orig(a, d + request.param))
+
+
+def test_wrong_twist_fails_verify_theorem(capsys, wrong_twist):
+    code, out, _ = run(capsys, "verify-theorem", "--N", "2", "--n", "4", "--k", "2",
+                       "--trials", "20", "--output", "json")
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert result["pass"] is False
+    assert result["equivariance_failures"] > 0
+
+
+def test_wrong_twist_fails_every_triple_of_a_one_n_sweep(capsys, wrong_twist):
+    # The triples of the one N share each element's expansion.
+    code, out, _ = run(capsys, "sweep", "--N", "3", "--n", "2", "3", "4", "5",
+                       "--trials", "20", "--output", "json")
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert len(results) == 10
+    for row in results:
+        assert row["pass"] is False, (row["n"], row["k"])
+        assert row["theorem"]["equivariance_failures"] > 0, (row["n"], row["k"])
+
+
+def test_sweep_expands_each_element_once_per_n(capsys, monkeypatch):
+    calls = []
+    expand = jetmap._substitution_images
+
+    def counted(*args):
+        calls.append(args[1])
+        return expand(*args)
+
+    monkeypatch.setattr(jetmap, "_substitution_images", counted)
+    code, _, _ = run(capsys, "sweep", "--trials", "3")
+    assert code == 0
+    assert calls == [1] * 3 + [2] * 3 + [3] * 3

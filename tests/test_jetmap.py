@@ -13,6 +13,7 @@ from pplab.jetmap import (
     jet_basis,
     taylor_fiber_matrix,
     verify_jet_representation,
+    verify_jet_representations,
     verify_kernel,
     x0_derivative_matrix,
 )
@@ -21,6 +22,7 @@ from pplab.parabolic import (
     GroupElement,
     _parabolic_from_rng,
     _scaled_inverse_rows,
+    _substitution_images,
     chi,
     is_equivariant,
     random_parabolic,
@@ -199,6 +201,12 @@ def test_verify_jet_representation_deterministic():
     assert a == b
 
 
+def one_triple_checks(a, b_rows, c, N, n, k, ff):
+    # The trial checks of one element as a one-triple verification runs
+    # them: on the expansion truncated modulo (x_1, ..., x_N)^(k+1).
+    return _trial_checks(_substitution_images(b_rows, N, n, k), a, c, n, k, ff)
+
+
 def test_fast_path_agrees_with_matrix_path():
     # The integer trial checks inside verify_jet_representation must agree
     # with the public fraction-matrix equivariance test on the same elements.
@@ -210,7 +218,7 @@ def test_fast_path_agrees_with_matrix_path():
         ff = [_falling_factorial(m[0] + (n - k), n - k) for m in basis_k]
         for seed in range(8):
             g = random_parabolic(N, seed)
-            fast_phi, fast_quot = _trial_checks(
+            fast_phi, fast_quot = one_triple_checks(
                 g.parabolic_scalar, *_scaled_inverse_rows(g), N, n, k, ff
             )
             assert fast_phi == is_equivariant(phi, src, dst, g)
@@ -229,7 +237,7 @@ def test_trial_checks_reject_off_by_one_falling_factorials():
         basis_k = monomial_basis(N, k)
         for shift in (-1, 1):
             ff = [_falling_factorial(m[0] + (n - k) + shift, n - k) for m in basis_k]
-            checks = _trial_checks(g.parabolic_scalar, *_scaled_inverse_rows(g), N, n, k, ff)
+            checks = one_triple_checks(g.parabolic_scalar, *_scaled_inverse_rows(g), N, n, k, ff)
             assert checks == (False, False), (N, n, k, shift)
 
 
@@ -244,12 +252,12 @@ def test_trial_checks_reject_an_element_that_moves_the_line():
         basis_k = monomial_basis(N, k)
         ff = [_falling_factorial(m[0] + (n - k), n - k) for m in basis_k]
         element = (g.parabolic_scalar, *_scaled_inverse_rows(g))
-        phi_ok, _ = _trial_checks(*element, N, n, k, ff)
+        phi_ok, _ = one_triple_checks(*element, N, n, k, ff)
         assert not phi_ok, (N, n, k)
         # The block-triangularity half of phi_ok is computed on its own: with
         # an all-zero list the section comparison passes vacuously, and only
         # the images of the small-x_0 monomials can fail the element.
-        assert _trial_checks(*element, N, n, k, [0] * len(ff)) == (False, True), (N, n, k)
+        assert one_triple_checks(*element, N, n, k, [0] * len(ff)) == (False, True), (N, n, k)
 
 
 def seeded_draws(N, trials, seed, height):
@@ -264,18 +272,25 @@ def seeded_draws(N, trials, seed, height):
 
 
 def test_report_does_not_depend_on_call_history(monkeypatch):
-    # The stabilizer elements are cached per (N, trials, seed, height); a
-    # report must come out the same cold, after another N, and after calls
+    # A report must come out the same cold, after another N, and after calls
     # that draw with a different seed, height or number of trials. A passing
     # report does not show which elements it used, so the elements each call
-    # hands to the trials are recorded and compared with an uncached draw.
+    # expands and hands to the trials are recorded and compared with a fresh
+    # draw.
     seen = []
+    expanded = []
+    expand = jetmap._substitution_images
     checks = jetmap._trial_checks
 
-    def recording(a, b_rows, c, *rest):
-        seen.append((a, b_rows, c))
-        return checks(a, b_rows, c, *rest)
+    def recording_expansion(b_rows, *rest):
+        expanded.append(b_rows)
+        return expand(b_rows, *rest)
 
+    def recording(levels, a, c, *rest):
+        seen.append((a, expanded[-1], c))
+        return checks(levels, a, c, *rest)
+
+    monkeypatch.setattr(jetmap, "_substitution_images", recording_expansion)
     monkeypatch.setattr(jetmap, "_trial_checks", recording)
 
     def verify(N, n, k, trials=20, seed=5, height=3):
@@ -284,7 +299,6 @@ def test_report_does_not_depend_on_call_history(monkeypatch):
         assert seen == seeded_draws(N, trials, seed, height)
         return report
 
-    _trial_elements.cache_clear()
     cold = verify(2, 4, 2)
     reports = [cold]
     for other in [
@@ -303,3 +317,112 @@ def test_report_does_not_depend_on_call_history(monkeypatch):
 def test_trial_elements_are_the_seeded_draws():
     for (N, trials, seed, height) in [(1, 4, 0, 3), (3, 5, 11, 2), (2, 3, 7, 5)]:
         assert list(_trial_elements(N, trials, seed, height)) == seeded_draws(N, trials, seed, height)
+
+
+def random_trial_inputs(rng, N, shape):
+    # Integer rows B, a corner scalar a and a clearing denominator c. A
+    # "stabilizer" B has first column (b, 0, ..., 0) and a = c / b, the
+    # corner of g = c B^-1, so its trials can pass; a "general" B moves the
+    # line and its a is arbitrary.
+    rows = [[rng.randint(-3, 3) for _ in range(N + 1)] for _ in range(N + 1)]
+    c = rng.randint(1, 4)
+    if shape == "stabilizer":
+        rows[0][0] = rng.choice((-2, -1, 1, 2))
+        for i in range(1, N + 1):
+            rows[i][0] = 0
+        return rows, Fraction(c, rows[0][0]), c
+    return rows, Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)), c
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_shared_expansion_gives_the_per_triple_checks(N):
+    # One expansion to degree 6 modulo (x_1..x_N)^6 must give every
+    # 1 <= k < n <= 6 the verdicts of its own truncated expansion (the
+    # oracle), for true, zero and random falling-factorial lists.
+    rng = random.Random(100 + N)
+    draws = 1 if N == 4 else 2
+    for shape in ("stabilizer", "general"):
+        for _ in range(draws):
+            rows, a, c = random_trial_inputs(rng, N, shape)
+            shared = _substitution_images(rows, N, 6, 5)
+            for n in range(2, 7):
+                for k in range(1, n):
+                    oracle = _substitution_images(rows, N, n, k)
+                    basis_k = monomial_basis(N, k)
+                    true_ff = [_falling_factorial(m[0] + (n - k), n - k) for m in basis_k]
+                    for ff in (true_ff, [0] * len(basis_k), [rng.randint(0, 2) for _ in basis_k]):
+                        assert _trial_checks(shared, a, c, n, k, ff) == _trial_checks(
+                            oracle, a, c, n, k, ff
+                        ), (N, shape, rows, n, k, ff)
+
+
+def test_shared_expansion_of_true_stabilizers_passes_every_triple():
+    rng = random.Random(8)
+    for N in (1, 2, 3):
+        for _ in range(3):
+            a, b_rows, c = seeded_draws(N, 1, rng.randrange(1000), 3)[0]
+            shared = _substitution_images(b_rows, N, 6, 5)
+            for n in range(2, 7):
+                for k in range(1, n):
+                    ff = [_falling_factorial(m[0] + (n - k), n - k) for m in monomial_basis(N, k)]
+                    assert _trial_checks(shared, a, c, n, k, ff) == (True, True), (N, n, k)
+
+
+def test_shared_expansion_rejects_an_element_that_moves_the_line():
+    # With k below the expansion's max_k, the degree-n images of small-x_0
+    # monomials are not empty even for a stabilizer; phi_ok must still see
+    # that this element sends one of them into the section.
+    for (N, n, k) in [(1, 3, 1), (2, 4, 2), (3, 4, 1)]:
+        rows = [[int(i == j) for j in range(N + 1)] for i in range(N + 1)]
+        rows[1][0] = 1
+        g = SimpleNamespace(mat=RationalMatrix.from_rows(rows), parabolic_scalar=Fraction(1))
+        b_rows, c = _scaled_inverse_rows(g)
+        shared = _substitution_images(b_rows, N, n + 1, k + 1)
+        ff = [_falling_factorial(m[0] + (n - k), n - k) for m in monomial_basis(N, k)]
+        assert not _trial_checks(shared, g.parabolic_scalar, c, n, k, ff)[0], (N, n, k)
+        assert _trial_checks(shared, g.parabolic_scalar, c, n, k, [0] * len(ff)) == (False, True)
+
+
+def test_reports_of_one_pass_equal_the_one_triple_reports():
+    degrees = [(n, k) for n in (2, 3, 4, 5) for k in range(1, n)]
+    for N in (1, 2, 3):
+        reports = verify_jet_representations(N, degrees, trials=8, seed=13, height=4)
+        assert reports == [
+            verify_jet_representation(N, n, k, trials=8, seed=13, height=4) for n, k in degrees
+        ]
+        assert all(report.passed for report in reports)
+
+
+@pytest.mark.parametrize("degrees,trials", [([], 5), ([(3, 1), (2, 2)], 5), ([(3, 1)], 0)])
+def test_verify_jet_representations_validates(degrees, trials):
+    with pytest.raises(ValueError):
+        verify_jet_representations(2, degrees, trials=trials)
+
+
+def test_one_pass_expands_each_element_once(monkeypatch):
+    calls = []
+    expand = jetmap._substitution_images
+
+    def counted(b_rows, N, max_degree, max_tail=None):
+        calls.append((N, max_degree, max_tail))
+        return expand(b_rows, N, max_degree, max_tail)
+
+    monkeypatch.setattr(jetmap, "_substitution_images", counted)
+    verify_jet_representations(3, [(2, 1), (5, 2), (4, 3)], trials=6, seed=1)
+    assert calls == [(3, 5, 3)] * 6
+    calls.clear()
+    verify_jet_representation(3, 5, 2, trials=4, seed=1)
+    assert calls == [(3, 5, 2)] * 4
+
+
+def test_a_wrong_inverse_from_the_draw_is_an_internal_error(monkeypatch):
+    # A fault in the closed-form inverse must not read as a counterexample.
+    scaled = jetmap._scaled_inverse_rows
+
+    def off_by_one(g):
+        rows, c = scaled(g)
+        return ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:], c
+
+    monkeypatch.setattr(jetmap, "_scaled_inverse_rows", off_by_one)
+    with pytest.raises(ArithmeticError):
+        verify_jet_representation(2, 3, 1, trials=3)

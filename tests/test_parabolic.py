@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from pplab.linalg import RationalMatrix, Subspace, subspace_equal
 from pplab.parabolic import (
     GroupElement,
+    _parabolic_from_rng,
+    _scaled_inverse_rows,
     _substitution_images,
     chi,
     dual_action_matrix,
@@ -95,6 +98,19 @@ def test_sym_action_is_a_homomorphism_both_orders():
             for n in (2, 3):
                 assert sym_action(g @ h, n) == sym_action(g, n) @ sym_action(h, n)
                 assert sym_action(h @ g, n) == sym_action(h, n) @ sym_action(g, n)
+
+
+def test_inverse_from_the_draw_is_the_cleared_inverse():
+    # The inverse a drawn element brings along must be g.mat.inverse() cleared
+    # by the lcm of its denominators, entry for entry.
+    for N in range(1, 6):
+        for height in range(1, 6):
+            for seed in range(50):
+                g = _parabolic_from_rng(N, random.Random(seed), height)
+                inv = g.mat.inverse()
+                c = lcm(*(x.denominator for x in inv.entries))
+                rows = tuple(tuple(int(x * c) for x in inv.row(i)) for i in range(N + 1))
+                assert _scaled_inverse_rows(g) == (rows, c), (N, height, seed)
 
 
 def test_truncated_substitution_images_are_restrictions():

@@ -280,6 +280,44 @@ def test_splitting_rejects_a_non_square_block():
         splitting_type(data)
 
 
+def test_splitting_type_takes_each_determinant_once(monkeypatch):
+    # The cocycle's determinant is taken block by block once, when it is
+    # built; splitting_type hands each distinct block its determinant.
+    calls = []
+    det = splitting.det_laurent
+
+    def counted(m, *rest):
+        calls.append(m.rows)
+        return det(m, *rest)
+
+    monkeypatch.setattr(splitting, "det_laurent", counted)
+    rng = random.Random(77)
+    parts = [gauged(rng, [2, -1]), gauged(rng, [0, 0, 3])]
+    cases = [
+        (jet_transition_matrix(3, 5, 3), (2,) * 20),
+        (TransitionData(7, direct_sum(parts + parts[:1])), (3, 2, 2, 0, 0, -1, -1)),
+    ]
+    for data, degrees in cases:
+        calls.clear()
+        assert splitting_type(data).degrees == degrees
+        assert calls == []
+    assert len(data._block_dets) == 2
+    for block, block_det in data._block_dets.items():
+        assert block_det == det(block)
+
+
+def test_splitting_rejects_a_block_with_a_non_unit_determinant():
+    # Planted past the constructor, a block whose determinant is not a unit
+    # is refused by the block's own TransitionData, as before.
+    data = diag_powers(0, 0)
+    one, t_plus_one = LaurentPoly.const(1), LaurentPoly.from_dict({0: 1, 1: 1})
+    object.__setattr__(data, "matrix", LaurentMatrix.diagonal([t_plus_one, one]))
+    with pytest.raises(ValueError, match="not a unit"):
+        splitting_type(data)
+    with pytest.raises(ValueError, match="not a unit"):
+        TransitionData(1, LaurentMatrix.diagonal([t_plus_one]), det=t_plus_one)
+
+
 def tails(N, k):
     """Tail exponents (alpha_2, ..., alpha_N) of total degree at most k."""
     out = []
