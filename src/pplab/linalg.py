@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Matrices are stored dense; every elimination (reduced row-echelon form,
-kernels, determinants, inverses) runs through one sparse Gauss-Jordan core
-on {column: value} rows, because the matrices pplab eliminates are scaled
-selections or nearly so. All entries are `fractions.Fraction`; there are no
-floats and no tolerances anywhere. Matrices and subspaces are immutable
-after construction, so values can be shared freely between threads.
+`RationalMatrix` is a dense matrix. Every elimination (reduced row-echelon
+form, kernels, determinants, inverses) runs through one sparse Gauss-Jordan
+core on {column: value} rows, because the matrices pplab eliminates are
+scaled selections or nearly so. Reduced forms (`RrefResult`) and subspaces
+(`Subspace`) keep what the core leaves, their canonical reduced rows, sparse;
+a dense matrix is built only when a caller asks for one. All entries are
+`fractions.Fraction`; there are no floats and no tolerances anywhere.
+Matrices and subspaces are immutable after construction, so values can be
+shared freely between threads.
 """
 
 from __future__ import annotations
@@ -13,9 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Scalar = int | Fraction
+# One row of a reduced form: (column, value) pairs, columns increasing, no
+# zero values.
+SparseRow = tuple[tuple[int, Fraction], ...]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _frac(x: Scalar) -> Fraction:
@@ -215,24 +224,134 @@ def _eliminate(
 
 
 @dataclass(frozen=True)
-class RrefResult:
-    matrix: "RationalMatrix"
-    pivots: tuple[int, ...]
-    rank: int
+class Subspace:
+    """A linear subspace of Q^ambient_dim, stored by its canonical reduced rows.
 
-    def kernel(self) -> "Subspace":
+    Each row is a tuple of (column, value) pairs with increasing columns and
+    no zero values, one row per basis vector: the nonzero rows of the reduced
+    row-echelon form of any spanning set, which is unique. So two subspaces
+    are equal as sets of vectors exactly when their rows are equal as data,
+    and construction refuses rows that are not canonical. `basis` is the
+    dense view, built on request.
+    """
+
+    ambient_dim: int
+    rows: tuple[SparseRow, ...]
+
+    def __post_init__(self) -> None:
+        # A ValueError, not an assert: equality as data is only sound for
+        # canonical rows, and `python -O` strips asserts.
+        if self.ambient_dim < 0:
+            raise ValueError("negative ambient dimension")
+        last_pivot = -1
+        for row in self.rows:
+            last = -1
+            for c, x in row:
+                if not last < c < self.ambient_dim:
+                    raise ValueError("row columns must increase and stay below ambient_dim")
+                if not x:
+                    raise ValueError("canonical rows store no zero values")
+                last = c
+            if not row or row[0][1] != 1:
+                raise ValueError("each canonical row leads with 1")
+            if row[0][0] <= last_pivot:
+                raise ValueError("pivot columns must strictly increase")
+            last_pivot = row[0][0]
+        pivots = set(self.pivots)
+        if any(c in pivots for row in self.rows for c, _ in row[1:]):
+            raise ValueError("a pivot column appears in another row")
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(row[0][0] for row in self.rows)
+
+    @property
+    def basis(self) -> RationalMatrix:
+        """Dense view: one basis vector per row."""
+        return _dense(self.rows, self.dim, self.ambient_dim)
+
+    @staticmethod
+    def from_vectors(
+        vectors: Sequence[Sequence[Scalar] | Mapping[int, Scalar]], ambient_dim: int
+    ) -> "Subspace":
+        """Span of the vectors, each either dense, of length ambient_dim, or
+        a {column: value} mapping."""
+        sparse = [_sparse_vector(v, ambient_dim) for v in vectors]
+        pivots, _ = _eliminate(sparse, reduced=True)
+        return Subspace(ambient_dim, _canonical_rows(pivots))
+
+    @staticmethod
+    def zero(ambient_dim: int) -> "Subspace":
+        return Subspace(ambient_dim, ())
+
+
+def _sparse_vector(
+    v: Sequence[Scalar] | Mapping[int, Scalar], ambient_dim: int
+) -> dict[int, Fraction]:
+    # A mapping column out of range stays in the span, so `Subspace` refuses it.
+    if isinstance(v, Mapping):
+        items = v.items()
+    elif len(v) != ambient_dim:
+        raise ValueError("ragged rows")
+    else:
+        items = enumerate(v)
+    return {c: _frac(x) for c, x in items if x}
+
+
+def _canonical_rows(pivots: dict[int, dict[int, Fraction]]) -> tuple[SparseRow, ...]:
+    """The reduced pivot rows of `_eliminate(..., reduced=True)` as sorted
+    (column, value) tuples, in increasing pivot order."""
+    return tuple(tuple(sorted(pivots[c].items())) for c in sorted(pivots))
+
+
+def _dense(rows: Sequence[SparseRow], nrows: int, cols: int) -> RationalMatrix:
+    """Dense nrows x cols matrix with the given sparse rows on top and zero
+    rows below."""
+    entries = [_ZERO] * (nrows * cols)
+    for i, row in enumerate(rows):
+        base = i * cols
+        for j, x in row:
+            entries[base + j] = x
+    return RationalMatrix(nrows, cols, tuple(entries))
+
+
+@dataclass(frozen=True)
+class RrefResult:
+    """Reduced row-echelon form of a matrix with `rows` rows: its nonzero
+    rows are the canonical rows of the matrix's row space, and the rest are
+    zero. `matrix` is the dense view, built on request."""
+
+    rows: int
+    row_space: Subspace
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return self.row_space.pivots
+
+    @property
+    def rank(self) -> int:
+        return self.row_space.dim
+
+    @property
+    def matrix(self) -> RationalMatrix:
+        return _dense(self.row_space.rows, self.rows, self.row_space.ambient_dim)
+
+    def kernel(self) -> Subspace:
         """Null space of the reduced matrix, and so of the matrix it came
-        from, as a canonical subspace: one vector per free column."""
-        cols = self.matrix.cols
-        pivot_set = set(self.pivots)
-        vectors = []
-        for f in (c for c in range(cols) if c not in pivot_set):
-            v = [Fraction(0)] * cols
-            v[f] = Fraction(1)
-            for i, p in enumerate(self.pivots):
-                v[p] = -self.matrix.entry(i, f)
-            vectors.append(v)
-        return Subspace.from_vectors(vectors, cols)
+        from, as a canonical subspace: one vector per free column f, with 1
+        at f and minus row i's entry in column f at pivot i."""
+        cols = self.row_space.ambient_dim
+        pivots = set(self.pivots)
+        vectors = {f: {f: _ONE} for f in range(cols) if f not in pivots}
+        for (p, _), *rest in self.row_space.rows:
+            # Non-pivot entries of a canonical row lie in free columns.
+            for f, x in rest:
+                vectors[f][p] = -x
+        return Subspace.from_vectors(list(vectors.values()), cols)
 
 
 def rref(m: RationalMatrix) -> RrefResult:
@@ -240,54 +359,14 @@ def rref(m: RationalMatrix) -> RrefResult:
     pivot columns strictly increasing, zero rows last. The RREF is unique,
     so the sparse core's choice of pivots does not show in the result."""
     pivots, _ = _eliminate(_sparse_rows(m), reduced=True)
-    order = sorted(pivots)
-    entries = [Fraction(0)] * (m.rows * m.cols)
-    for i, c in enumerate(order):
-        base = i * m.cols
-        for j, x in pivots[c].items():
-            entries[base + j] = x
-    return RrefResult(RationalMatrix(m.rows, m.cols, tuple(entries)), tuple(order), len(order))
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A linear subspace of Q^ambient_dim, stored by its canonical RREF basis.
-
-    The basis matrix has one basis vector per row, is in reduced row-echelon
-    form and has full row rank, so two subspaces are equal as sets of vectors
-    exactly when their stored bases are equal as data.
-    """
-
-    ambient_dim: int
-    basis: RationalMatrix
-
-    def __post_init__(self) -> None:
-        if self.basis.cols != self.ambient_dim:
-            raise ValueError("basis width does not match ambient dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
-
-    @staticmethod
-    def from_vectors(vectors: Sequence[Sequence[Scalar]], ambient_dim: int) -> "Subspace":
-        if not vectors:
-            return Subspace(ambient_dim, RationalMatrix.zero(0, ambient_dim))
-        m = RationalMatrix.from_rows(vectors, cols=ambient_dim)
-        red = rref(m)
-        kept = [list(red.matrix.row(i)) for i in range(red.rank)]
-        return Subspace(ambient_dim, RationalMatrix.from_rows(kept, cols=ambient_dim))
-
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, RationalMatrix.zero(0, ambient_dim))
+    return RrefResult(m.rows, Subspace(m.cols, _canonical_rows(pivots)))
 
 
 def subspace_equal(a: Subspace, b: Subspace) -> bool:
     """Exact equality of spans; raises if the ambient spaces differ."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("subspaces live in different ambient dimensions")
-    return a.basis == b.basis
+    return a.rows == b.rows
 
 
 def kernel_basis(m: RationalMatrix) -> Subspace:

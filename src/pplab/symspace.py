@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from .linalg import RationalMatrix, Scalar, Subspace, _frac
+from .linalg import Scalar, Subspace, _frac
 
 MultiIndex = tuple[int, ...]
 
@@ -113,13 +113,10 @@ def m_power_subspace(N: int, n: int, k: int) -> Subspace:
     """
     _check_subspace_params(N, n, k)
     basis = monomial_basis(N, n)
-    ambient = len(basis)
-    # Unit vectors in increasing index order are already a canonical RREF.
-    support = [idx for idx, mono in enumerate(basis) if mono[0] < n - k]
-    entries = [Fraction(0)] * (len(support) * ambient)
-    for row, idx in enumerate(support):
-        entries[row * ambient + idx] = Fraction(1)
-    sub = Subspace(ambient, RationalMatrix(len(support), ambient, tuple(entries)))
+    # Unit vectors in increasing index order are already canonical rows.
+    one = Fraction(1)
+    rows = tuple(((idx, one),) for idx, mono in enumerate(basis) if mono[0] < n - k)
+    sub = Subspace(len(basis), rows)
     expected = sum(binomial(i + N - 1, N - 1) for i in range(k + 1, n + 1))
     if sub.dim != expected:
         raise ArithmeticError(f"small-x_0 subspace has dimension {sub.dim}, expected {expected}")

@@ -364,6 +364,42 @@ def test_wrong_twist_fails_every_triple_of_a_one_n_sweep(capsys, wrong_twist):
         assert row["theorem"]["equivariance_failures"] > 0, (row["n"], row["k"])
 
 
+@pytest.fixture
+def dual_action_without_transpose(monkeypatch):
+    # The wrong dual action: x_i goes to column i of g^-1 instead of row i.
+    # Kernels and ranks do not see it. The drawn inverse itself is right, so
+    # the first draw's Gauss-Jordan check passes and the fault must show as
+    # a counterexample, not as an internal error.
+    expand = jetmap._substitution_images
+
+    def transposed(b_rows, *rest):
+        return expand([list(col) for col in zip(*b_rows)], *rest)
+
+    monkeypatch.setattr(jetmap, "_substitution_images", transposed)
+
+
+def test_dual_action_without_transpose_fails_verify_theorem(capsys, dual_action_without_transpose):
+    code, out, _ = run(capsys, "verify-theorem", "--N", "2", "--n", "4", "--k", "2",
+                       "--trials", "20", "--output", "json")
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert result["pass"] is False
+    assert result["equivariance_failures"] > 0
+
+
+def test_dual_action_without_transpose_fails_every_triple_of_a_one_n_sweep(
+    capsys, dual_action_without_transpose
+):
+    code, out, _ = run(capsys, "sweep", "--N", "3", "--n", "2", "3", "4", "5",
+                       "--trials", "20", "--output", "json")
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert len(results) == 10
+    for row in results:
+        assert row["pass"] is False, (row["n"], row["k"])
+        assert row["theorem"]["equivariance_failures"] > 0, (row["n"], row["k"])
+
+
 def test_sweep_expands_each_element_once_per_n(capsys, monkeypatch):
     calls = []
     expand = jetmap._substitution_images

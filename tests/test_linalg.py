@@ -184,6 +184,66 @@ def test_rref_matches_naive_gauss_jordan(m):
     assert list(got.pivots) == want_pivots
 
 
+@settings(deadline=None, max_examples=100)
+@given(any_matrices)
+def test_from_vectors_takes_dense_or_mapping_vectors(m):
+    want_rows, _ = _naive_gauss_jordan(m.to_rows())
+    want = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in want_rows if any(row))
+    dense = Subspace.from_vectors(m.to_rows(), m.cols)
+    # The same vectors as {column: value} mappings, with some zero values named.
+    mappings = [{j: x for j, x in enumerate(row) if x or j % 2} for row in m.iter_rows()]
+    assert Subspace.from_vectors(mappings, m.cols) == dense
+    assert dense.rows == want
+
+
+@settings(deadline=None, max_examples=100)
+@given(any_matrices)
+def test_dense_views_match_the_dense_forms(m):
+    # The dense forms the sparse rows stand for: the whole reduced matrix,
+    # zero rows last, and its nonzero rows as the subspace basis.
+    want_rows, _ = _naive_gauss_jordan(m.to_rows())
+    red = rref(m)
+    sub = Subspace.from_vectors(m.to_rows(), m.cols)
+    assert red.matrix == RationalMatrix.from_rows(want_rows, cols=m.cols)
+    kept = [row for row in want_rows if any(row)]
+    assert sub.basis == RationalMatrix.from_rows(kept, cols=m.cols)
+    assert all(isinstance(x, Fraction) for x in red.matrix.entries + sub.basis.entries)
+
+
+def test_subspace_accepts_canonical_rows():
+    rows = (((0, Fraction(1)), (2, Fraction(5))), ((1, Fraction(1)),))
+    sub = Subspace(3, rows)
+    assert sub.dim == 2
+    assert sub == Subspace.from_vectors([[2, 0, 10], [1, 1, 5]], 3)
+
+
+@pytest.mark.parametrize("rows", [
+    (((1, Fraction(1)), (0, Fraction(2))),),
+    (((0, Fraction(2)), (1, Fraction(1))),),
+    (((1, Fraction(1)),), ((0, Fraction(1)),)),
+    (((0, Fraction(1)),), ((0, Fraction(1)),)),
+    (((0, Fraction(1)), (1, Fraction(3))), ((1, Fraction(1)),)),
+    (((0, Fraction(1)), (3, Fraction(1))),),
+    (((-1, Fraction(1)),),),
+    (((0, Fraction(1)), (2, Fraction(0))),),
+    ((),),
+], ids=[
+    "unsorted row", "lead not 1", "pivots decreasing", "pivot repeated",
+    "pivot column in another row", "column >= ambient_dim", "negative column",
+    "stored zero", "empty row",
+])
+def test_subspace_refuses_rows_that_are_not_canonical(rows):
+    with pytest.raises(ValueError):
+        Subspace(3, rows)
+
+
+def test_from_vectors_refuses_bad_vectors():
+    with pytest.raises(ValueError):
+        Subspace.from_vectors([[1, 0], [1, 0, 0]], 3)
+    with pytest.raises(ValueError):
+        Subspace.from_vectors([{3: 1}], 3)
+
+
 def test_matmul_and_inverse_roundtrip():
     m = RationalMatrix.from_rows([[1, 2], [3, Fraction(7, 2)]])
     assert m.inverse() @ m == RationalMatrix.identity(2)
