@@ -23,7 +23,14 @@ from .parabolic import (
     _scaled_inverse_rows,
     _substitution_images,
 )
-from .symspace import MultiIndex, binomial, dim_sym, m_power_subspace, monomial_basis
+from .symspace import (
+    MultiIndex,
+    _check_subspace_params,
+    binomial,
+    dim_sym,
+    m_power_subspace,
+    monomial_basis,
+)
 
 
 @dataclass(frozen=True)
@@ -74,18 +81,11 @@ def _falling_factorial(p: int, steps: int) -> int:
     return out
 
 
-def _check_jet_params(N: int, n: int, k: int) -> None:
-    if N < 1:
-        raise ValueError("require N >= 1")
-    if not 1 <= k < n:
-        raise ValueError(f"require 1 <= k < n, got k={k}, n={n}")
-
-
 def x0_derivative_matrix(N: int, n: int, k: int) -> RationalMatrix:
     """Matrix of the (n-k)-fold derivative d^(n-k)/dx_0^(n-k) from degree-n
     to degree-k monomials. Each monomial maps to at most one monomial, so the
     matrix is a scaled selection; it is surjective of rank binom(k+N, N)."""
-    _check_jet_params(N, n, k)
+    _check_subspace_params(N, n, k)
     basis_n = monomial_basis(N, n)
     basis_k = monomial_basis(N, k)
     steps = n - k
@@ -117,7 +117,7 @@ def taylor_fiber_matrix(N: int, n: int, k: int) -> RationalMatrix:
 def verify_kernel(N: int, n: int, k: int) -> bool:
     """Kernel of the derivative map == span of small-x_0 monomials == kernel
     of the Taylor map, all as canonical subspaces."""
-    _check_jet_params(N, n, k)
+    _check_subspace_params(N, n, k)
     ker_phi = kernel_basis(x0_derivative_matrix(N, n, k))
     sub = m_power_subspace(N, n, k)
     ker_taylor = kernel_basis(taylor_fiber_matrix(N, n, k))
@@ -127,11 +127,10 @@ def verify_kernel(N: int, n: int, k: int) -> bool:
 def exact_sequence_check(N: int, n: int, k: int) -> bool:
     """Exactness of 0 -> small-x_0 span -> degree-n forms -> jet fiber -> 0:
     the subspace is exactly the kernel and the dimensions add up."""
-    _check_jet_params(N, n, k)
-    phi = x0_derivative_matrix(N, n, k)
+    _check_subspace_params(N, n, k)
+    phi = rref(x0_derivative_matrix(N, n, k))
     sub = m_power_subspace(N, n, k)
-    rank = rref(phi).rank
-    return sub.dim + rank == dim_sym(N, n) and subspace_equal(kernel_basis(phi), sub)
+    return sub.dim + phi.rank == dim_sym(N, n) and subspace_equal(phi.kernel(), sub)
 
 
 @dataclass(frozen=True)
@@ -293,7 +292,7 @@ def verify_jet_representations(
     if not degrees:
         raise ValueError("require at least one (n, k)")
     for n, k in degrees:
-        _check_jet_params(N, n, k)
+        _check_subspace_params(N, n, k)
     if trials < 1:
         raise ValueError(f"require trials >= 1, got trials={trials}")
     tallies = _equivariance_pass(N, degrees, trials, seed, height)
@@ -329,7 +328,7 @@ def verify_jet_representation(
     restricted away. `verify_jet_representations` runs one pass for several
     triples and hands each its (failures, quotient_ok) as `_tally`.
     """
-    _check_jet_params(N, n, k)
+    _check_subspace_params(N, n, k)
     if trials < 1:
         raise ValueError(f"require trials >= 1, got trials={trials}")
     if _tally is None:

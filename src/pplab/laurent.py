@@ -96,14 +96,6 @@ class LaurentPoly:
     def shift(self, e: int) -> "LaurentPoly":
         return LaurentPoly(tuple((exp + e, c) for exp, c in self.coeffs))
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for general Laurent polynomials")
-        out = LaurentPoly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def evaluate(self, t0: Scalar) -> Fraction:
         t0 = _frac(t0)
         if t0 == 0:

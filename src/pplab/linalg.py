@@ -95,16 +95,6 @@ class RationalMatrix:
         c = _frac(c)
         return RationalMatrix(self.rows, self.cols, tuple(c * x for x in self.entries))
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        return RationalMatrix(
-            self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + other.scale(-1)
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")

@@ -50,7 +50,6 @@ class TransitionData:
 
     rank: int
     matrix: LaurentMatrix
-    convention: str = "chart0_jet(t) = T(t) @ chart1_jet(t)"
     det: InitVar[LaurentPoly | None] = None
 
     def __post_init__(self, det: LaurentPoly | None) -> None:
@@ -84,105 +83,56 @@ class SplittingType:
     def rank(self) -> int:
         return len(self.degrees)
 
-    def as_multiset(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for d in self.degrees:
-            out[d] = out.get(d, 0) + 1
-        return out
-
 
 # ---------------------------------------------------------------------------
-# Transition matrix by exact truncated series composition.
+# Transition matrix from the closed form of its entries.
 # ---------------------------------------------------------------------------
 
-_Series = dict[MultiIndex, LaurentPoly]
-
-
-def _series_mul(a: _Series, b: _Series, N: int, k: int) -> _Series:
-    out: _Series = {}
-    for ma, pa in a.items():
-        da = sum(ma)
-        for mb, pb in b.items():
-            if da + sum(mb) > k:
-                continue
-            key = tuple(x + y for x, y in zip(ma, mb))
-            prod = pa * pb
-            if key in out:
-                out[key] = out[key] + prod
-            else:
-                out[key] = prod
-    return {m: p for m, p in out.items() if not p.is_zero()}
-
-
-def _unit_vector(N: int, pos: int) -> MultiIndex:
-    return tuple(1 if i == pos else 0 for i in range(N))
+def _series_binomial(m: int, j: int) -> int:
+    """Coefficient of x^j in (1 + x)^m for any integer m: binomial(m, j)
+    for m >= 0, and (-1)^j binomial(j - m - 1, j) for m < 0."""
+    if m >= 0:
+        return binomial(m, j)
+    return (-1) ** j * binomial(j - m - 1, j)
 
 
 def jet_transition_matrix(N: int, n: int, k: int) -> TransitionData:
     """Order-k jet cocycle of the degree-n line bundle along the line.
 
-    Built by exact chain-rule expansion: on the line, chart-0 local data
-    satisfies f_0(u) = u_1^n * f_1(1/u_1, u_2/u_1, ..., u_N/u_1), so the jet
-    of f_0 at u = (t, 0, ..., 0) is a universal Laurent-coefficient
-    combination of the jet of f_1 at (1/t, 0, ..., 0). Column beta of T is
-    the chart-0 jet of the chart-1 coordinate monomial r^beta, computed by
-    multiplying truncated power series in the chart-0 deviations
-    s_1, ..., s_N with Laurent coefficients in t:
+    On the line, chart-0 local data satisfies
+    f_0(u) = u_1^n * f_1(1/u_1, u_2/u_1, ..., u_N/u_1), so column beta of T,
+    the chart-0 jet of the chart-1 coordinate monomial r^beta, holds the
+    coefficients of (t + s_1)^n * r(s)^beta up to total s-degree k, where
 
-        (t + s_1)^n,
-        r_0(s) = 1/(t + s_1) - 1/t,
-        r_j(s) = s_j / (t + s_1)          for j = 2, ..., N,
+        r_0(s) = 1/(t + s_1) - 1/t = -s_1 / (t (t + s_1)),
+        r_j(s) = s_j / (t + s_1)          for j = 2, ..., N.
 
-    all truncated at total s-degree k. No truncation error exists because
-    truncation commutes with products.
+    Write a jet index as (a, tau), with a the exponent of s_1 and tau the
+    tail. For beta = (b, tau) that product is
+    (-1)^b t^(-b) s_1^b s^tau (t + s_1)^m with m = n - |tau| - b, so
+
+        T[(a, tau), (b, tau)] = (-1)^b C(m, a - b) t^(m - a)    for a >= b,
+
+    with C the binomial-series coefficient (`_series_binomial`; m >= n - k,
+    so m < 0 only when k > n), and every other entry is 0. T is
+    block-diagonal by the tail and lower triangular inside each block.
     """
     if N < 1 or n < 1 or k < 0:
         raise ValueError(f"require N >= 1, n >= 1, k >= 0, got N={N}, n={n}, k={k}")
     jb = jet_basis(N, k)
-    zero_mono = (0,) * N
-
-    prefactor: _Series = {}
-    for i in range(min(n, k) + 1):
-        mono = (i,) + (0,) * (N - 1)
-        prefactor[mono] = LaurentPoly.t_pow(n - i, binomial(n, i))
-
-    r0: _Series = {}
-    for i in range(1, k + 1):
-        mono = (i,) + (0,) * (N - 1)
-        r0[mono] = LaurentPoly.t_pow(-1 - i, (-1) ** i)
-
-    deviations: list[_Series] = [r0]
-    for pos in range(1, N):
-        rj: _Series = {}
-        for i in range(k):
-            mono = tuple(
-                (i if p == 0 else 0) + (1 if p == pos else 0) for p in range(N)
-            )
-            rj[mono] = LaurentPoly.t_pow(-1 - i, (-1) ** i)
-        deviations.append(rj)
-
-    # series[beta] = truncation of (t+s_1)^n * prod_i deviations[i]^beta[i],
-    # built incrementally along the graded order of the jet basis.
-    series: dict[MultiIndex, _Series] = {zero_mono: prefactor}
-    for beta in jb:
-        if beta == zero_mono:
-            continue
-        pos = max(i for i, e in enumerate(beta) if e)
-        parent = beta[:pos] + (beta[pos] - 1,) + beta[pos + 1 :]
-        series[beta] = _series_mul(series[parent], deviations[pos], N, k)
-
     dim = len(jb)
-    zero = LaurentPoly.zero()
-    entries = [zero] * (dim * dim)
-    for col, beta in enumerate(jb):
-        s = series[beta]
-        for alpha, poly in s.items():
-            entries[jb.index_of(alpha) * dim + col] = poly
+    entries = [LaurentPoly.zero()] * (dim * dim)
+    for col, (b, *tail) in enumerate(jb):
+        tail_degree = sum(tail)
+        m = n - tail_degree - b
+        for a in range(b, k - tail_degree + 1):
+            coeff = (-1) ** b * _series_binomial(m, a - b)
+            entries[jb.index_of((a, *tail)) * dim + col] = LaurentPoly.t_pow(m - a, coeff)
     return TransitionData(dim, LaurentMatrix(dim, dim, tuple(entries)))
 
 
 # ---------------------------------------------------------------------------
-# Closed-form jet oracles for monomials, independent of the series route.
+# Closed-form jet oracles for monomials, independent of the cocycle builder.
 # ---------------------------------------------------------------------------
 
 def chart0_jet(mono: MultiIndex, t0: Scalar, k: int) -> tuple[Fraction, ...]:

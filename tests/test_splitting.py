@@ -56,6 +56,72 @@ def test_line_first_jets_matrix_and_determinant():
     assert e == 2 and c != 0
 
 
+# --- closed form against the series composition ---------------------------
+
+def series_composition_cocycle(N, n, k):
+    """The jet cocycle by multiplying truncated power series, a reference
+    that shares nothing with the closed form: column beta is the truncation
+    at total s-degree k of (t + s_1)^n * prod_i r_i(s)^beta_i, with
+    r_0 = 1/(t + s_1) - 1/t and r_j = s_j / (t + s_1) expanded in s, every
+    coefficient a Laurent polynomial in t."""
+    jb = jet_basis(N, k)
+
+    def s_mono(first, pos=None):
+        return tuple(first * (p == 0) + (p == pos) for p in range(N))
+
+    def mul(a, b):
+        out = {}
+        for ma, pa in a.items():
+            for mb, pb in b.items():
+                if sum(ma) + sum(mb) <= k:
+                    key = tuple(x + y for x, y in zip(ma, mb))
+                    out[key] = out.get(key, LaurentPoly.zero()) + pa * pb
+        return {m: p for m, p in out.items() if not p.is_zero()}
+
+    deviations = [{s_mono(i): LaurentPoly.t_pow(-1 - i, (-1) ** i) for i in range(1, k + 1)}]
+    for pos in range(1, N):
+        deviations.append(
+            {s_mono(i, pos): LaurentPoly.t_pow(-1 - i, (-1) ** i) for i in range(k)}
+        )
+    zero_mono = (0,) * N
+    prefactor = {s_mono(i): LaurentPoly.t_pow(n - i, binomial(n, i)) for i in range(min(n, k) + 1)}
+    series = {zero_mono: prefactor}
+    for beta in jb:
+        if beta != zero_mono:
+            pos = max(i for i, e in enumerate(beta) if e)
+            parent = beta[:pos] + (beta[pos] - 1,) + beta[pos + 1 :]
+            series[beta] = mul(series[parent], deviations[pos])
+    dim = len(jb)
+    entries = [LaurentPoly.zero()] * (dim * dim)
+    for col, beta in enumerate(jb):
+        for alpha, poly in series[beta].items():
+            entries[jb.index_of(alpha) * dim + col] = poly
+    return LaurentMatrix(dim, dim, tuple(entries))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_closed_form_cocycle_matches_series_composition(N):
+    # Includes k > n, where the exponent m = n - |tau| - b of (t + s_1)^m
+    # can go negative and the closed form needs the binomial series.
+    cases = [
+        (n, k) for n in range(1, 9) for k in range(9) if binomial(N + k, N) <= 84
+    ]
+    assert any(k > n for n, k in cases)
+    for n, k in cases:
+        assert jet_transition_matrix(N, n, k).matrix == series_composition_cocycle(N, n, k), (n, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_line_jets_past_the_degree_split_off_negative_summands(n):
+    # For k >= n, the order-k jets of O(n) on the line split as n+1 trivial
+    # summands and k-n copies of O(-k-1); the degrees sum to (k+1)(n-k), the
+    # determinant exponent. This reaches the negative exponents m of the
+    # closed form.
+    for k in range(n, n + 5):
+        expected = (0,) * (n + 1) + (-k - 1,) * (k - n)
+        assert splitting_type(jet_transition_matrix(1, n, k)).degrees == expected, k
+
+
 # --- consistency oracle ---------------------------------------------------
 
 def test_consistency_x0_power():
