@@ -18,6 +18,7 @@ from typing import Iterator, Sequence
 
 from .linalg import RationalMatrix, kernel_basis, rref, subspace_equal
 from .parabolic import (
+    _group_element,
     _parabolic_from_rng,
     _scalar_character,
     _scaled_inverse_rows,
@@ -169,23 +170,26 @@ def _trial_elements(
     at a time.
 
     Draws `trials` elements with `_parabolic_from_rng` from
-    random.Random(seed), so each is built as a `GroupElement` and passes its
-    determinant-1 and shape checks, and yields for each its corner scalar a
-    and the integer rows B and clearing denominator c of its inverse,
-    g^-1 = B / c, which the draw supplies. The first element's B / c is
-    compared with its inverse by Gauss-Jordan elimination, so a fault in the
-    closed form raises ArithmeticError instead of failing the trials as if
-    it were a counterexample.
+    random.Random(seed) and yields for each its corner scalar a and the
+    integer rows B and clearing denominator c of its inverse, g^-1 = B / c,
+    which the draw derives in integers. Every draw's B and c come through
+    `_scaled_inverse_rows`, which checks them exactly (det g = 1 and
+    G B = d c I in integers), so a fault in the draw raises ArithmeticError
+    instead of failing the trials as if it were a counterexample. The first
+    element is also built as a `GroupElement`, which checks its determinant
+    and shape on the rational matrix, and its B / c is compared with its
+    inverse by Gauss-Jordan elimination.
     """
     rng = random.Random(seed)
     for trial in range(trials):
-        g = _parabolic_from_rng(N, rng, height)
-        b_rows, c = _scaled_inverse_rows(g)
+        draw = _parabolic_from_rng(N, rng, height)
+        b_rows, c = _scaled_inverse_rows(draw)
         if trial == 0:
+            g = _group_element(draw)
             drawn_inverse = RationalMatrix.from_rows(b_rows).scale(Fraction(1, c))
             if drawn_inverse != g.mat.inverse():
                 raise ArithmeticError("a drawn element's inverse disagrees with elimination")
-        yield g.parabolic_scalar, b_rows, c
+        yield draw.a, b_rows, c
 
 
 def _trial_checks(
@@ -205,7 +209,10 @@ def _trial_checks(
     The degree-d action is the integer substitution x_i -> row_i(B) divided
     by c^d, so both intertwiner identities reduce to integer equalities after
     cross-multiplying by the single rational r = c^(n-k) a^-(n-k) = p/q, the
-    normalizations' ratio times the P-character of the twist.
+    normalizations' ratio times the P-character of the twist: q is the
+    character's denominator and p is c^(n-k) times its numerator, not
+    necessarily in lowest terms, which a common factor of both sides of
+    every comparison does not change.
 
     The derivative map reads only the degree-n monomials of x_0-exponent
     >= n-k (the section, the first dim_k of the basis, aligned
@@ -216,34 +223,40 @@ def _trial_checks(
     binom(k+N, N) = dim_k up. So the degree-n images restricted to keys
     below dim_k are the ones the triple reads, and the degree-k images,
     k <= max_k, are complete. Images are keyed by basis index, so the
-    section row of a degree-n key is the key itself. quot_ok compares, column
-    by column, q * ff[row] times the restricted image of each section
-    monomial with p * ff[col] times the degree-k image, where ff[i] is the
-    falling factorial the derivative map puts on section monomial i. phi_ok
-    adds the block-triangularity of the degree-n action: no monomial outside
-    the section may have a key below dim_k in its image, i.e. each must stay
-    in the small-x_0 span.
+    section row of a degree-n key is the key itself.
+
+    quot_ok compares, column by column, q * ff[row] times the restricted
+    image of each section monomial with p * ff[col] times the degree-k
+    image (taken as empty when ff[col] is 0), where ff[i] is the falling
+    factorial the derivative map puts on section monomial i. It walks the
+    degree-n image's terms with key below dim_k and ff[key] nonzero, each a
+    nonzero integer, compares each with its term on the right (0 if absent),
+    and counts them: all equal and as many as the right has terms means the
+    two sides are the same sparse vector. The first unequal column ends the
+    checks. phi_ok adds the block-triangularity of the degree-n action: no
+    monomial outside the section may have a key below dim_k in its image,
+    i.e. each must stay in the small-x_0 span. It takes the least key of the
+    nonempty images outside the section in one pass.
     """
     img_n, img_k = levels[n], levels[k]
     dim_k = len(img_k)
-    r = c ** (n - k) * _scalar_character(a, n - k)
-    p, q = r.numerator, r.denominator
-
-    quot_ok = True
+    chi = _scalar_character(a, n - k)
+    p, q = c ** (n - k) * chi.numerator, chi.denominator
+    left = [q * f for f in ff]
+    empty: dict[int, int] = {}
     for col in range(dim_k):
-        lhs = {
-            row: q * ff[row] * coeff
-            for row, coeff in img_n[col].items()
-            if row < dim_k and ff[row]
-        }
-        rhs = {row: p * ff[col] * coeff for row, coeff in img_k[col].items()} if ff[col] else {}
-        if lhs != rhs:
-            quot_ok = False
-            break
-    phi_ok = quot_ok and all(
-        min(img_n[mono], default=dim_k) >= dim_k for mono in range(dim_k, len(img_n))
-    )
-    return phi_ok, quot_ok
+        right = img_k[col] if ff[col] else empty
+        scale = p * ff[col]
+        matched = 0
+        for row, coeff in img_n[col].items():
+            if row < dim_k and left[row]:
+                if left[row] * coeff != scale * right.get(row, 0):
+                    return False, False
+                matched += 1
+        if matched != len(right):
+            return False, False
+    outside = filter(None, map(img_n.__getitem__, range(dim_k, len(img_n))))
+    return min(map(min, outside), default=dim_k) >= dim_k, True
 
 
 def _equivariance_pass(

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from pplab import cli, jetmap
+from pplab import cli, jetmap, parabolic
 from pplab.jetmap import JetRepReport
 from pplab.laurent import LaurentMatrix
 from pplab.splitting import TransitionData, jet_transition_matrix, transition_to_json_dict
@@ -412,3 +413,75 @@ def test_sweep_expands_each_element_once_per_n(capsys, monkeypatch):
     code, _, _ = run(capsys, "sweep", "--trials", "3")
     assert code == 0
     assert calls == [1] * 3 + [2] * 3 + [3] * 3
+
+
+@pytest.fixture(params=["inverse", "determinant"])
+def faulty_later_draw(monkeypatch, request):
+    # A fault in the integer draw that shows only on draw 2 of a pass, after
+    # the first draw's Gauss-Jordan comparison: one entry of the cleared
+    # inverse B off by one, or a block E of determinant 2 (with B left as
+    # it was). Both must surface as internal errors, not as failed trials.
+    draw = parabolic._parabolic_from_rng
+    count = [0]
+
+    def faulty(*args):
+        result = draw(*args)
+        count[0] += 1
+        if count[0] != 3:
+            return result
+        if request.param == "inverse":
+            rows = result.inverse_rows
+            return result._replace(inverse_rows=((rows[0][0] + 1,) + rows[0][1:],) + rows[1:])
+        block = result.block
+        return result._replace(block=(tuple(2 * x for x in block[0]),) + block[1:])
+
+    monkeypatch.setattr(parabolic, "_parabolic_from_rng", faulty)
+    monkeypatch.setattr(jetmap, "_parabolic_from_rng", faulty)
+    return request.param
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-theorem", "--N", "2", "--n", "3", "--k", "1", "--trials", "5"],
+        ["sweep", "--N", "2", "--n", "2", "3", "--trials", "5"],
+    ],
+    ids=["verify-theorem", "sweep"],
+)
+def test_a_fault_in_a_later_draw_is_an_internal_error(capsys, faulty_later_draw, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3, (out, err)
+    assert out == ""
+    assert err.startswith("internal error: ArithmeticError: a drawn element")
+    assert faulty_later_draw in err
+
+
+def report_digest(capsys, *argv):
+    # The SHA-256 of the JSON report as the CLI lays it out, less the
+    # elapsed time, the one field that varies between runs.
+    code, out, _ = run(capsys, *argv, "--output", "json")
+    assert code == 0
+    report = json.loads(out)
+    report.pop("elapsed_ms")
+    return hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["sweep", "--seed", "3"],
+            "59f034dee7914c5c69f54a6c45cd6b6a772886907d714337ba5f5bf004c147a6",
+        ),
+        (
+            ["verify-theorem", "--N", "3", "--n", "6", "--k", "3", "--seed", "3", "--verbose"],
+            "23c6bcc208e6a83f8fb015a09b72efaef8d0475e42768dad8f39ea42d787f773",
+        ),
+    ],
+    ids=["sweep", "verify-theorem"],
+)
+def test_default_reports_keep_their_golden_digest(capsys, argv, digest):
+    # Pins every verdict, count and field of two default reports: a change
+    # that alters the elements drawn, the trial verdicts or the layout of
+    # the JSON changes the digest.
+    assert report_digest(capsys, *argv) == digest

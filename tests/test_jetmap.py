@@ -266,8 +266,8 @@ def seeded_draws(N, trials, seed, height):
     rng = random.Random(seed)
     draws = []
     for _ in range(trials):
-        g = _parabolic_from_rng(N, rng, height)
-        draws.append((g.parabolic_scalar, *_scaled_inverse_rows(g)))
+        draw = _parabolic_from_rng(N, rng, height)
+        draws.append((draw.a, *_scaled_inverse_rows(draw)))
     return draws
 
 
@@ -322,11 +322,14 @@ def test_trial_elements_are_the_seeded_draws():
 def random_trial_inputs(rng, N, shape):
     # Integer rows B, a corner scalar a and a clearing denominator c. A
     # "stabilizer" B has first column (b, 0, ..., 0) and a = c / b, the
-    # corner of g = c B^-1, so its trials can pass; a "general" B moves the
-    # line and its a is arbitrary.
+    # corner of g = c B^-1, so its trials can pass; a "unipotent" one is
+    # also the identity below its first row, so every monomial in x_1..x_N
+    # is its own image; a "general" B moves the line and its a is arbitrary.
     rows = [[rng.randint(-3, 3) for _ in range(N + 1)] for _ in range(N + 1)]
     c = rng.randint(1, 4)
-    if shape == "stabilizer":
+    if shape == "unipotent":
+        rows[1:] = [[int(i == j) for j in range(N + 1)] for i in range(1, N + 1)]
+    if shape in ("stabilizer", "unipotent"):
         rows[0][0] = rng.choice((-2, -1, 1, 2))
         for i in range(1, N + 1):
             rows[i][0] = 0
@@ -354,6 +357,63 @@ def test_shared_expansion_gives_the_per_triple_checks(N):
                         assert _trial_checks(shared, a, c, n, k, ff) == _trial_checks(
                             oracle, a, c, n, k, ff
                         ), (N, shape, rows, n, k, ff)
+
+
+def dict_trial_checks(levels, a, c, n, k, ff):
+    # Reference for the column-wise comparison: the checks built the two
+    # scaled sides of every section column as dicts and compared them.
+    img_n, img_k = levels[n], levels[k]
+    dim_k = len(img_k)
+    r = c ** (n - k) * a ** (k - n)
+    p, q = r.numerator, r.denominator
+    quot_ok = True
+    for col in range(dim_k):
+        lhs = {
+            row: q * ff[row] * coeff
+            for row, coeff in img_n[col].items()
+            if row < dim_k and ff[row]
+        }
+        rhs = {row: p * ff[col] * coeff for row, coeff in img_k[col].items()} if ff[col] else {}
+        if lhs != rhs:
+            quot_ok = False
+            break
+    phi_ok = quot_ok and all(
+        min(img_n[mono], default=dim_k) >= dim_k for mono in range(dim_k, len(img_n))
+    )
+    return phi_ok, quot_ok
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_trial_checks_give_the_dict_comparison_verdicts(N):
+    # Every 1 <= k < n <= 6, on the shared expansion and on the triple's own,
+    # for true falling factorials, all zeros, random ones and the true ones
+    # with one entry zeroed (which leaves a key on one side only).
+    rng = random.Random(200 + N)
+    verdicts = set()
+    for shape in ("stabilizer", "unipotent", "general"):
+        for _ in range(1 if N == 4 else 2):
+            rows, a, c = random_trial_inputs(rng, N, shape)
+            shared = _substitution_images(rows, N, 6, 5)
+            for n in range(2, 7):
+                for k in range(1, n):
+                    own = _substitution_images(rows, N, n, k)
+                    basis_k = monomial_basis(N, k)
+                    true_ff = [_falling_factorial(m[0] + (n - k), n - k) for m in basis_k]
+                    holed = list(true_ff)
+                    holed[rng.randrange(len(holed))] = 0
+                    for ff in (
+                        true_ff,
+                        [0] * len(basis_k),
+                        [rng.randint(0, 2) for _ in basis_k],
+                        holed,
+                    ):
+                        for levels in (shared, own):
+                            expected = dict_trial_checks(levels, a, c, n, k, ff)
+                            assert _trial_checks(levels, a, c, n, k, ff) == expected, (
+                                N, shape, rows, n, k, ff,
+                            )
+                            verdicts.add(expected)
+    assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 def test_shared_expansion_of_true_stabilizers_passes_every_triple():
@@ -425,4 +485,18 @@ def test_a_wrong_inverse_from_the_draw_is_an_internal_error(monkeypatch):
 
     monkeypatch.setattr(jetmap, "_scaled_inverse_rows", off_by_one)
     with pytest.raises(ArithmeticError):
+        verify_jet_representation(2, 3, 1, trials=3)
+
+
+def test_a_first_draw_whose_matrix_disagrees_with_its_inverse_is_an_internal_error(monkeypatch):
+    # The rational element of the first draw carries the draw's B / c; built
+    # from other stars, it is not their inverse. The integer check of the
+    # draw itself passes, so only the Gauss-Jordan comparison can see it.
+    build = jetmap._group_element
+
+    def other_stars(draw):
+        return build(draw._replace(stars=tuple(s + 1 for s in draw.stars)))
+
+    monkeypatch.setattr(jetmap, "_group_element", other_stars)
+    with pytest.raises(ArithmeticError, match="disagrees with elimination"):
         verify_jet_representation(2, 3, 1, trials=3)
