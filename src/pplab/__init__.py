@@ -45,7 +45,6 @@ from .splitting import (
     jet_transition_matrix,
     splitting_type,
     transition_consistency,
-    verify_splitting,
 )
 
 __all__ = [
@@ -89,5 +88,4 @@ __all__ = [
     "jet_transition_matrix",
     "splitting_type",
     "transition_consistency",
-    "verify_splitting",
 ]

@@ -116,6 +116,13 @@ def _require_theorem_regime(N: int, n: int, k: int) -> None:
         raise ParameterError(f"parameters must satisfy 1 <= k < n (got k={k}, n={n})")
 
 
+def _require_jet_parameters(N: int, n: int, k: int) -> None:
+    if N < 1 or n < 1 or k < 0:
+        raise ParameterError(
+            f"parameters must satisfy N >= 1, n >= 1, k >= 0 (got N={N}, n={n}, k={k})"
+        )
+
+
 class ParameterError(Exception):
     pass
 
@@ -211,10 +218,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 
 def cmd_splitting_type(args: argparse.Namespace) -> int:
-    if args.N < 1 or args.n < 1 or args.k < 0:
-        raise ParameterError(
-            f"parameters must satisfy N >= 1, n >= 1, k >= 0 (got N={args.N}, n={args.n}, k={args.k})"
-        )
+    _require_jet_parameters(args.N, args.n, args.k)
     start = time.monotonic()
     st = splitting_type(jet_transition_matrix(args.N, args.n, args.k))
     body = _report_skeleton("splitting-type", {"N": args.N, "n": args.n, "k": args.k})
@@ -228,10 +232,7 @@ def cmd_splitting_type(args: argparse.Namespace) -> int:
 
 
 def cmd_export_transition(args: argparse.Namespace) -> int:
-    if args.N < 1 or args.n < 1 or args.k < 0:
-        raise ParameterError(
-            f"parameters must satisfy N >= 1, n >= 1, k >= 0 (got N={args.N}, n={args.n}, k={args.k})"
-        )
+    _require_jet_parameters(args.N, args.n, args.k)
     data = jet_transition_matrix(args.N, args.n, args.k)
     _write(json.dumps(transition_to_json_dict(data), indent=2), args.out)
     return EXIT_PASS

@@ -283,9 +283,7 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def det_laurent(
-    m: LaurentMatrix, block_dets: dict[LaurentMatrix, LaurentPoly] | None = None
-) -> LaurentPoly:
+def det_laurent(m: LaurentMatrix) -> LaurentPoly:
     """Exact determinant of a square Laurent-polynomial matrix.
 
     The matrix is first cut into the connected components of its nonzero
@@ -293,28 +291,26 @@ def det_laurent(
     makes it block-diagonal, so the determinant is the product of the block
     determinants times the signs of the row order and of the column order; a
     non-square component makes it 0. Blocks with identical entries are
-    computed once, and `block_dets`, when given, receives the determinant of
-    each distinct block keyed by the block (m itself when it is connected).
-    Each connected block has its singleton rows and columns peeled off
-    (cofactor expansion along a row/column with one nonzero entry), which
-    resolves permuted-triangular blocks in quadratic time; the remaining core
-    goes through fraction-free Bareiss elimination over the Laurent ring,
-    whose divisions are exact.
+    computed once per call; `TransitionData` cuts a cocycle into its blocks
+    itself and calls this once for each distinct one. Each connected block has its singleton rows and
+    columns peeled off (cofactor expansion along a row/column with one
+    nonzero entry), which resolves permuted-triangular blocks in quadratic
+    time; the remaining core goes through fraction-free Bareiss elimination
+    over the Laurent ring, whose divisions are exact.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     if m.rows == 0:
         return LaurentPoly.const(1)
-    dets = {} if block_dets is None else block_dets
     blocks = block_components(m)
     if len(blocks) == 1:
-        dets[m] = _det_connected(m)
-        return dets[m]
+        return _det_connected(m)
     if any(len(rows) != len(cols) for rows, cols in blocks):
         return LaurentPoly.zero()
     sign = _perm_sign([i for rows, _ in blocks for i in rows])
     sign *= _perm_sign([j for _, cols in blocks for j in cols])
     acc = LaurentPoly.const(sign)
+    dets: dict[LaurentMatrix, LaurentPoly] = {}
     for rows, cols in blocks:
         block = m.submatrix(rows, cols)
         if block not in dets:

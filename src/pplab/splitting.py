@@ -22,7 +22,7 @@ vectors (f_0(t), f_1(s)) with f_0(t) = t^m * T(t) * f_1(1/t).
 from __future__ import annotations
 
 import random
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -42,31 +42,49 @@ DEFAULT_SAMPLE_POINTS: tuple[Fraction, ...] = (
 class TransitionData:
     """A rank-r Laurent cocycle on the two-chart line, with unit determinant.
 
-    `det`, when given, is taken as the determinant of the matrix instead of
-    computing it; `splitting_type` passes each block's down from the whole
-    cocycle's. The determinants of the distinct diagonal blocks are kept
-    when the determinant is computed here.
+    The constructor cuts the matrix once into the connected components of
+    its nonzero pattern (`block_components`). A constant row and column
+    permutation is a gauge, and after one the cocycle is the direct sum of
+    these blocks. `blocks` holds one TransitionData per component, in
+    component order; identical blocks share one object, and that block's
+    own `det_laurent` is the only determinant taken for it. A connected
+    cocycle is its own only block. `det_exponent` is e in det = c * t^e, the
+    first Chern class: the sum of the blocks' exponents. A non-square
+    component, or a block whose determinant is not a unit, raises ValueError.
     """
 
     rank: int
     matrix: LaurentMatrix
-    det: InitVar[LaurentPoly | None] = None
 
-    def __post_init__(self, det: LaurentPoly | None) -> None:
+    def __post_init__(self) -> None:
         if self.matrix.rows != self.rank or self.matrix.cols != self.rank:
             raise ValueError("matrix shape does not match the rank")
-        block_dets: dict[LaurentMatrix, LaurentPoly] = {}
-        if det is None:
-            det = det_laurent(self.matrix, block_dets)
-        parts = det.monomial_parts()
-        if parts is None or parts[0] == 0:
-            raise ValueError("transition determinant is not a unit (c * t^e)")
-        object.__setattr__(self, "_det_parts", parts)
-        object.__setattr__(self, "_block_dets", block_dets)
+        components = block_components(self.matrix)
+        if len(components) == 1:
+            unit = det_laurent(self.matrix).monomial_parts()
+            if unit is None or unit[0] == 0:
+                raise ValueError("transition determinant is not a unit (c * t^e)")
+            blocks, exponent = None, unit[1]
+        else:
+            if any(len(rows) != len(cols) for rows, cols in components):
+                # A non-square component makes the determinant 0.
+                raise ValueError("transition determinant is not a unit (c * t^e)")
+            shared: dict[LaurentMatrix, TransitionData] = {}
+            parts: list[TransitionData] = []
+            for rows, cols in components:
+                block = self.matrix.submatrix(rows, cols)
+                if block not in shared:
+                    shared[block] = TransitionData(len(rows), block)
+                parts.append(shared[block])
+            blocks = tuple(parts)
+            exponent = sum(block.det_exponent for block in blocks)
+        # A connected cocycle stores no blocks, so it holds no reference to itself.
+        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "det_exponent", exponent)
 
-    def det_parts(self) -> tuple[Fraction, int]:
-        """(c, e) with det = c * t^e; the exponent is the first Chern class."""
-        return self._det_parts
+    @property
+    def blocks(self) -> tuple[TransitionData, ...]:
+        return (self,) if self._blocks is None else self._blocks
 
 
 @dataclass(frozen=True)
@@ -250,42 +268,28 @@ def h0_twisted(data: TransitionData, m: int) -> int:
         for i in range(data.rank)
     ]
     least = sum(row_mins) - max(row_mins)
-    return _section_space_dim(data, m, max(0, m + data.det_parts()[1] - least))
+    return _section_space_dim(data, m, max(0, m + data.det_exponent - least))
 
 
 def splitting_type(data: TransitionData) -> SplittingType:
     """Degrees of the line-bundle summands of a unit-determinant cocycle.
 
-    The cocycle is cut into the connected components of its nonzero pattern
-    (`block_components`). A constant row and column permutation is a gauge,
-    and after one the cocycle is the direct sum of these blocks, so its
-    splitting type is the union of theirs. Each block is wrapped in its own
-    TransitionData, so its unit-determinant check and its degree bounds come
-    from its own entries, with the determinant the whole cocycle's
-    `det_laurent` took for it; blocks with identical entries are computed
-    once per call. The jet cocycle is block-diagonal by the tail exponents
-    (alpha_2, ..., alpha_N) of the jet monomials. A block that is not square,
-    or whose degrees do not sum to its determinant exponent, raises
-    ArithmeticError.
+    The cocycle is the direct sum of its blocks (`TransitionData.blocks`),
+    so its splitting type is the union of theirs. The degrees of each
+    distinct block are read once, from its own section counts and degree
+    bounds. The jet cocycle is block-diagonal by the tail exponents
+    (alpha_2, ..., alpha_N) of the jet monomials. A block whose degrees do
+    not sum to its determinant exponent raises ArithmeticError.
     """
-    matrix = data.matrix
-    found: dict[LaurentMatrix, list[int]] = {}
+    found: dict[int, list[int]] = {}
     degrees: list[int] = []
-    for rows, cols in block_components(matrix):
-        if len(rows) != len(cols):
-            raise ArithmeticError("cocycle has a non-square block, so its determinant is 0")
-        block = matrix if len(rows) == data.rank else matrix.submatrix(rows, cols)
-        if block not in found:
-            part = (
-                data
-                if block is matrix
-                else TransitionData(len(rows), block, det=data._block_dets.get(block))
-            )
-            part_degrees = _block_degrees(part)
-            if sum(part_degrees) != part.det_parts()[1]:
+    for block in data.blocks:
+        if id(block) not in found:
+            block_degrees = _block_degrees(block)
+            if sum(block_degrees) != block.det_exponent:
                 raise ArithmeticError("block degrees do not sum to its determinant exponent")
-            found[block] = part_degrees
-        degrees.extend(found[block])
+            found[id(block)] = block_degrees
+        degrees.extend(found[id(block)])
     return SplittingType(tuple(sorted(degrees, reverse=True)))
 
 
@@ -298,7 +302,7 @@ def _block_degrees(data: TransitionData) -> list[int]:
     twist at a time until g(a) = 0 and g(b) = rank; the multiplicity of
     degree -m is then g(m) - g(m-1).
     """
-    _, e_det = data.det_parts()
+    e_det = data.det_exponent
     rho = data.rank
     lo, hi = data.matrix.exponent_range()
     window_cap = rho * (abs(lo) + abs(hi) + 1) + abs(e_det) + 1
@@ -336,21 +340,9 @@ def jet_splitting_check(
     """(computed, expected) splitting degrees of the order-k jet cocycle
     `data` of the degree-n line bundle: the corollary expects binom(N+k, N)
     copies of degree n-k."""
-    _require_corollary_range(N, n, k)
-    return splitting_type(data).degrees, (n - k,) * binomial(N + k, N)
-
-
-def _require_corollary_range(N: int, n: int, k: int) -> None:
     if N < 1 or not 0 <= k < n:
         raise ValueError(f"require N >= 1 and 0 <= k < n, got N={N}, n={n}, k={k}")
-
-
-def verify_splitting(N: int, n: int, k: int) -> bool:
-    """Whether the order-k jet bundle of the degree-n line bundle splits as
-    binom(N+k, N) copies of degree n-k on the line."""
-    _require_corollary_range(N, n, k)
-    degrees, expected = jet_splitting_check(jet_transition_matrix(N, n, k), N, n, k)
-    return degrees == expected
+    return splitting_type(data).degrees, (n - k,) * binomial(N + k, N)
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,10 @@ def test_criterion_6_splitting_extractor_oracle():
         right = random_unimodular(rank, rng, inverse_variable=True)
         data = TransitionData(rank, left @ diag @ right)
         st = splitting_type(data)
-        _, e_det = data.det_parts()
-        case_ok = st.degrees == tuple(sorted(degrees, reverse=True)) and sum(st.degrees) == e_det
+        case_ok = (
+            st.degrees == tuple(sorted(degrees, reverse=True))
+            and sum(st.degrees) == data.det_exponent
+        )
         if not case_ok:
             print(f"  extractor failure in case {case}: degrees {degrees} -> {st.degrees}")
         ok = ok and case_ok

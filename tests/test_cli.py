@@ -37,6 +37,26 @@ def test_bad_regime_is_usage_error(capsys):
     assert "1 <= k < n" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-theorem", "--N", "0", "--n", "3", "--k", "1"],
+    ["verify-corollary", "--N", "0", "--n", "3", "--k", "1"],
+    ["verify-corollary", "--N", "1", "--n", "3", "--k", "3"],
+    ["dims", "--N", "0", "--n", "3", "--k", "1"],
+    ["dims", "--N", "1", "--n", "3", "--k", "0"],
+    ["splitting-type", "--N", "1", "--n", "0", "--k", "1"],
+    ["splitting-type", "--N", "1", "--n", "2", "--k", "-1"],
+    ["export-transition", "--N", "0", "--n", "2", "--k", "1"],
+    ["sweep", "--N", "0"],
+    ["sweep", "--n", "2", "--k", "5"],
+    ["sweep", "--n", "-3"],
+], ids=lambda argv: " ".join(argv))
+def test_out_of_range_parameters_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
@@ -477,11 +497,19 @@ def report_digest(capsys, *argv):
             ["verify-theorem", "--N", "3", "--n", "6", "--k", "3", "--seed", "3", "--verbose"],
             "23c6bcc208e6a83f8fb015a09b72efaef8d0475e42768dad8f39ea42d787f773",
         ),
+        (
+            ["verify-corollary", "--N", "4", "--n", "7", "--k", "5", "--verbose"],
+            "ecf746963b027ffd292791f3d0ab9ca39dddab7a16365e123442b82249dfa53b",
+        ),
+        (
+            ["splitting-type", "--N", "2", "--n", "2", "--k", "4"],
+            "292113e9d96a26b07c40023fc4c7087cc75b6c5cc7c6dbda67d2b78a3ab417c2",
+        ),
     ],
-    ids=["sweep", "verify-theorem"],
+    ids=["sweep", "verify-theorem", "verify-corollary", "splitting-type"],
 )
 def test_default_reports_keep_their_golden_digest(capsys, argv, digest):
-    # Pins every verdict, count and field of two default reports: a change
-    # that alters the elements drawn, the trial verdicts or the layout of
-    # the JSON changes the digest.
+    # Pins every verdict, count and field of these reports: a change that
+    # alters the elements drawn, the trial verdicts, the cocycle, its
+    # splitting degrees or the layout of the JSON changes the digest.
     assert report_digest(capsys, *argv) == digest

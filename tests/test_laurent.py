@@ -213,18 +213,3 @@ def test_matrix_evaluate_matches_entries():
         for j in range(2):
             expected = m.entry(i, j).evaluate(t0) if not m.entry(i, j).is_zero() else 0
             assert ev.entry(i, j) == expected
-
-
-@settings(deadline=None, max_examples=150)
-@given(sparse_laurent_matrices())
-def test_det_records_the_determinant_of_each_distinct_block(m):
-    dets = {}
-    det = det_laurent(m, dets)
-    components = block_components(m)
-    if any(len(rows) != len(cols) for rows, cols in components):
-        assert det.is_zero()
-        return
-    blocks = {m.submatrix(rows, cols) for rows, cols in components}
-    assert set(dets) == blocks
-    for block, block_det in dets.items():
-        assert block_det == leibniz_det(block)

@@ -21,7 +21,6 @@ from pplab.splitting import (
     splitting_type,
     transition_consistency,
     transition_to_json_dict,
-    verify_splitting,
 )
 from pplab.symspace import binomial
 
@@ -52,8 +51,8 @@ def test_line_first_jets_matrix_and_determinant():
     assert m.entry(1, 0) == LaurentPoly.t_pow(1, 2)
     assert m.entry(0, 1) == LaurentPoly.zero()
     assert m.entry(1, 1) == LaurentPoly.const(-1)
-    c, e = data.det_parts()
-    assert e == 2 and c != 0
+    assert data.det_exponent == 2
+    assert det_laurent(data.matrix) == LaurentPoly.t_pow(2, -1)
 
 
 # --- closed form against the series composition ---------------------------
@@ -273,8 +272,7 @@ def test_splitting_mixed_degrees():
 def test_splitting_degree_sum_is_det_exponent():
     for data in (diag_powers(1, 2, -1), jet_transition_matrix(2, 3, 1)):
         st = splitting_type(data)
-        _, e = data.det_parts()
-        assert sum(st.degrees) == e
+        assert sum(st.degrees) == data.det_exponent
 
 
 def test_splitting_gauge_invariance():
@@ -337,51 +335,46 @@ def test_splitting_of_permuted_direct_sum_is_union_of_parts():
 
 
 def test_splitting_rejects_a_non_square_block():
-    # TransitionData rejects such a matrix (determinant 0), so plant it past
-    # the constructor to reach the check inside splitting_type.
-    data = diag_powers(0, 0)
+    # A zero row leaves a component without columns: the determinant is 0,
+    # and the constructor refuses the cocycle before any block is read.
     one, zero = LaurentPoly.const(1), LaurentPoly.zero()
-    object.__setattr__(data, "matrix", LaurentMatrix.from_rows([[one, one], [zero, zero]]))
-    with pytest.raises(ArithmeticError):
-        splitting_type(data)
+    with pytest.raises(ValueError, match="not a unit"):
+        TransitionData(2, LaurentMatrix.from_rows([[one, one], [zero, zero]]))
 
 
 def test_splitting_type_takes_each_determinant_once(monkeypatch):
-    # The cocycle's determinant is taken block by block once, when it is
-    # built; splitting_type hands each distinct block its determinant.
-    calls = []
-    det = splitting.det_laurent
-
-    def counted(m, *rest):
-        calls.append(m.rows)
-        return det(m, *rest)
-
-    monkeypatch.setattr(splitting, "det_laurent", counted)
+    # The constructor cuts the cocycle into blocks and takes the determinant
+    # of each distinct block once; splitting_type reads the blocks it keeps.
     rng = random.Random(77)
     parts = [gauged(rng, [2, -1]), gauged(rng, [0, 0, 3])]
     cases = [
         (jet_transition_matrix(3, 5, 3), (2,) * 20),
         (TransitionData(7, direct_sum(parts + parts[:1])), (3, 2, 2, 0, 0, -1, -1)),
     ]
+    summed = cases[1][0]
+    assert [block.rank for block in summed.blocks] == [2, 3, 2]
+    assert summed.blocks[0] is summed.blocks[2]
+    assert summed.det_exponent == sum(block.det_exponent for block in summed.blocks) == 5
+    connected = TransitionData(2, parts[0])
+    assert connected.blocks == (connected,)
+
+    def refused(*args):
+        raise AssertionError("splitting_type cut or took a determinant again")
+
+    monkeypatch.setattr(splitting, "block_components", refused)
+    monkeypatch.setattr(splitting, "det_laurent", refused)
     for data, degrees in cases:
-        calls.clear()
         assert splitting_type(data).degrees == degrees
-        assert calls == []
-    assert len(data._block_dets) == 2
-    for block, block_det in data._block_dets.items():
-        assert block_det == det(block)
 
 
 def test_splitting_rejects_a_block_with_a_non_unit_determinant():
-    # Planted past the constructor, a block whose determinant is not a unit
-    # is refused by the block's own TransitionData, as before.
-    data = diag_powers(0, 0)
+    # One block's determinant is t + 1, not c * t^e: the constructor
+    # refuses it through that block's own TransitionData.
     one, t_plus_one = LaurentPoly.const(1), LaurentPoly.from_dict({0: 1, 1: 1})
-    object.__setattr__(data, "matrix", LaurentMatrix.diagonal([t_plus_one, one]))
     with pytest.raises(ValueError, match="not a unit"):
-        splitting_type(data)
+        TransitionData(2, LaurentMatrix.diagonal([t_plus_one, one]))
     with pytest.raises(ValueError, match="not a unit"):
-        TransitionData(1, LaurentMatrix.diagonal([t_plus_one]), det=t_plus_one)
+        TransitionData(1, LaurentMatrix.diagonal([t_plus_one]))
 
 
 def tails(N, k):
@@ -432,15 +425,15 @@ def test_jet_splitting_is_uniform():
         assert len(st.degrees) == binomial(N + k, N)
 
 
-def test_verify_splitting_examples():
-    assert verify_splitting(1, 3, 1)  # {2, 2}
-    assert verify_splitting(2, 2, 1)  # {1, 1, 1}
-    assert verify_splitting(1, 4, 2)  # {2, 2, 2}
-
-
 def test_jet_splitting_check_returns_computed_and_expected():
-    degrees, expected = jet_splitting_check(jet_transition_matrix(2, 4, 2), 2, 4, 2)
-    assert degrees == expected == (2,) * 6
+    for (N, n, k), uniform in [
+        ((2, 4, 2), (2,) * 6),
+        ((1, 3, 1), (2, 2)),
+        ((2, 2, 1), (1, 1, 1)),
+        ((1, 4, 2), (2, 2, 2)),
+    ]:
+        degrees, expected = jet_splitting_check(jet_transition_matrix(N, n, k), N, n, k)
+        assert degrees == expected == uniform
     # One row times t keeps the determinant a unit but breaks uniformity.
     data = jet_transition_matrix(2, 4, 2)
     entries = list(data.matrix.entries)
@@ -450,11 +443,12 @@ def test_jet_splitting_check_returns_computed_and_expected():
     assert sum(degrees) == sum(expected) + 1 and degrees != expected
 
 
-def test_verify_splitting_validates_range():
+def test_jet_splitting_check_validates_range():
+    data = jet_transition_matrix(1, 2, 1)
     with pytest.raises(ValueError):
-        verify_splitting(1, 2, 2)
+        jet_splitting_check(data, 1, 2, 2)
     with pytest.raises(ValueError):
-        verify_splitting(1, 2, -1)
+        jet_splitting_check(data, 1, 2, -1)
 
 
 def test_transition_data_rejects_non_unit_determinant():
