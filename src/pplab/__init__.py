@@ -28,10 +28,8 @@ from .parabolic import (
     target_rep_action,
 )
 from .jetmap import (
-    JetBasis,
     JetRepReport,
     exact_sequence_check,
-    jet_basis,
     taylor_fiber_matrix,
     verify_jet_representation,
     verify_jet_representations,
@@ -73,10 +71,8 @@ __all__ = [
     "random_parabolic",
     "sym_action",
     "target_rep_action",
-    "JetBasis",
     "JetRepReport",
     "exact_sequence_check",
-    "jet_basis",
     "taylor_fiber_matrix",
     "verify_jet_representation",
     "verify_jet_representations",

@@ -3,10 +3,13 @@ base point, and the checks that tie them to the twisted symmetric power.
 
 Model one is intrinsic: the quotient of the degree-n forms by the kernel of
 the iterated x_0-derivative. Model two is extrinsic: truncated Taylor data of
-the dehomogenized form at the point (1 : 0 : ... : 0). The module verifies
-that both have the same kernel (the span of monomials with x_0-exponent below
-n-k), that the derivative map intertwines the group actions, and that the
-induced map on the quotient is an invertible intertwiner.
+the dehomogenized form at the point (1 : 0 : ... : 0). Both models index the
+fiber by the degree-k monomials (`monomial_basis(N, k)`): the jet u^tau is
+x_0^(k-|tau|) x^tau, as in the identification of the fiber with the degree-k
+forms twisted by a character. The module verifies that both have the same
+kernel (the span of monomials with x_0-exponent below n-k), that the
+derivative map intertwines the group actions, and that the induced map on the
+quotient is an invertible intertwiner.
 """
 
 from __future__ import annotations
@@ -25,54 +28,12 @@ from .parabolic import (
     _substitution_images,
 )
 from .symspace import (
-    MultiIndex,
     _check_subspace_params,
     binomial,
     dim_sym,
     m_power_subspace,
     monomial_basis,
 )
-
-
-@dataclass(frozen=True)
-class JetBasis:
-    """Ordered multi-indices of total degree <= k in the N affine variables
-    u_1, ..., u_N: coordinates on jets at the base point. Ordered by total
-    degree, then descending-lexicographically inside each degree, which lines
-    up index-for-index with the degree-n monomials of x_0-exponent >= n-k."""
-
-    N: int
-    k: int
-    multi_indices: tuple[MultiIndex, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.multi_indices)})
-
-    def __len__(self) -> int:
-        return len(self.multi_indices)
-
-    def index_of(self, alpha: MultiIndex) -> int:
-        return self._index[alpha]
-
-    def __iter__(self) -> Iterator[MultiIndex]:
-        return iter(self.multi_indices)
-
-
-def jet_basis(N: int, k: int) -> JetBasis:
-    if N < 1 or k < 0:
-        raise ValueError("require N >= 1 and k >= 0")
-    indices: list[MultiIndex] = []
-    for d in range(k + 1):
-        if N == 1:
-            indices.append((d,))
-        else:
-            indices.extend(monomial_basis(N - 1, d).monomials)
-    jb = JetBasis(N, k, tuple(indices))
-    if len(jb) != binomial(k + N, N):
-        raise ArithmeticError(
-            f"jet basis has {len(jb)} multi-indices, expected {binomial(k + N, N)}"
-        )
-    return jb
 
 
 def _falling_factorial(p: int, steps: int) -> int:
@@ -100,19 +61,25 @@ def x0_derivative_matrix(N: int, n: int, k: int) -> RationalMatrix:
 
 
 def taylor_fiber_matrix(N: int, n: int, k: int) -> RationalMatrix:
-    """Matrix sending a degree-n form F to the coefficients of u^alpha,
-    |alpha| <= k, in F(1, u_1, ..., u_N): order-k Taylor data at the base
-    point, stored as plain monomial coefficients (no factorials)."""
+    """Matrix sending a degree-n form F to the coefficients of u^tau,
+    |tau| <= k, in F(1, u_1, ..., u_N): order-k Taylor data at the base
+    point, stored as plain monomial coefficients (no factorials).
+
+    The jet u^tau is indexed by the degree-k monomial x_0^(k-|tau|) x^tau, so
+    the coefficient of a degree-n monomial lands in the row that
+    `x0_derivative_matrix` sends it to: the two maps share their row index.
+    """
     if N < 1 or not 0 <= k <= n:
         raise ValueError(f"require N >= 1 and 0 <= k <= n, got N={N}, n={n}, k={k}")
     basis_n = monomial_basis(N, n)
-    jb = jet_basis(N, k)
-    entries = [Fraction(0)] * (len(jb) * len(basis_n))
+    basis_k = monomial_basis(N, k)
+    steps = n - k
+    entries = [Fraction(0)] * (len(basis_k) * len(basis_n))
     for col, mono in enumerate(basis_n):
-        tail = mono[1:]
-        if sum(tail) <= k:
-            entries[jb.index_of(tail) * len(basis_n) + col] = Fraction(1)
-    return RationalMatrix(len(jb), len(basis_n), tuple(entries))
+        if mono[0] >= steps:
+            row = basis_k.index_of((mono[0] - steps,) + mono[1:])
+            entries[row * len(basis_n) + col] = Fraction(1)
+    return RationalMatrix(len(basis_k), len(basis_n), tuple(entries))
 
 
 def verify_kernel(N: int, n: int, k: int) -> bool:
@@ -216,10 +183,12 @@ def _trial_checks(
 
     The derivative map reads only the degree-n monomials of x_0-exponent
     >= n-k (the section, the first dim_k of the basis, aligned
-    index-for-index with the degree-k basis), which are the terms that
-    survive modulo (x_1, ..., x_N)^(k+1). The levels are taken modulo the
-    smaller ideal (x_1, ..., x_N)^(max_k+1); both quotient maps are ring
-    maps, and the one to the larger ideal drops exactly the keys from
+    index-for-index with the degree-k basis by construction, since dividing
+    by x_0^(n-k) keeps the descending-lexicographic order; the Taylor map
+    writes each to the same row), which are the terms that survive modulo
+    (x_1, ..., x_N)^(k+1). The levels are taken modulo the smaller ideal
+    (x_1, ..., x_N)^(max_k+1); both quotient maps are ring maps, and the
+    one to the larger ideal drops exactly the keys from
     binom(k+N, N) = dim_k up. So the degree-n images restricted to keys
     below dim_k are the ones the triple reads, and the degree-k images,
     k <= max_k, are complete. Images are keyed by basis index, so the

@@ -265,90 +265,36 @@ def block_components(m: LaurentMatrix) -> list[tuple[list[int], list[int]]]:
     return blocks
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation of range(len(perm)), from its cycle lengths."""
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def det_laurent(m: LaurentMatrix) -> LaurentPoly:
     """Exact determinant of a square Laurent-polynomial matrix.
 
-    The matrix is first cut into the connected components of its nonzero
-    pattern (`block_components`). Ordering rows and columns by component
-    makes it block-diagonal, so the determinant is the product of the block
-    determinants times the signs of the row order and of the column order; a
-    non-square component makes it 0. Blocks with identical entries are
-    computed once per call; `TransitionData` cuts a cocycle into its blocks
-    itself and calls this once for each distinct one. Each connected block has its singleton rows and
-    columns peeled off (cofactor expansion along a row/column with one
-    nonzero entry), which resolves permuted-triangular blocks in quadratic
-    time; the remaining core goes through fraction-free Bareiss elimination
-    over the Laurent ring, whose divisions are exact.
+    Rows with a single nonzero entry are peeled off first, each by cofactor
+    expansion along it, which resolves permuted-triangular matrices in
+    quadratic time; a zero row gives 0, and the 0x0 matrix has determinant
+    1. The remaining core goes through fraction-free Bareiss elimination over
+    the Laurent ring, whose divisions are exact. This path is correct for any
+    square matrix and cuts nothing into blocks: `TransitionData` cuts a
+    cocycle once and calls this on each distinct block.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    if m.rows == 0:
-        return LaurentPoly.const(1)
-    blocks = block_components(m)
-    if len(blocks) == 1:
-        return _det_connected(m)
-    if any(len(rows) != len(cols) for rows, cols in blocks):
-        return LaurentPoly.zero()
-    sign = _perm_sign([i for rows, _ in blocks for i in rows])
-    sign *= _perm_sign([j for _, cols in blocks for j in cols])
-    acc = LaurentPoly.const(sign)
-    dets: dict[LaurentMatrix, LaurentPoly] = {}
-    for rows, cols in blocks:
-        block = m.submatrix(rows, cols)
-        if block not in dets:
-            dets[block] = _det_connected(block)
-        acc = acc * dets[block]
-    return acc
-
-
-def _det_connected(m: LaurentMatrix) -> LaurentPoly:
-    n = m.rows
-    grid = [[m.entry(i, j) for j in range(n)] for i in range(n)]
-    row_ids = list(range(n))
-    col_ids = list(range(n))
+    grid = [list(m.row(i)) for i in range(m.rows)]
     acc = LaurentPoly.const(1)
     sign = 1
-    while row_ids:
-        peeled = False
-        for pos_i, _ in enumerate(row_ids):
-            nz = [pos_j for pos_j, _ in enumerate(col_ids) if not grid[pos_i][pos_j].is_zero()]
-            if len(nz) == 0:
+    while grid:
+        for i, row in enumerate(grid):
+            nz = [j for j, p in enumerate(row) if not p.is_zero()]
+            if not nz:
                 return LaurentPoly.zero()
             if len(nz) == 1:
-                pos_j = nz[0]
-                acc = acc * grid[pos_i][pos_j]
-                if (pos_i + pos_j) % 2 == 1:
+                j = nz[0]
+                acc = acc * row[j]
+                if (i + j) % 2 == 1:
                     sign = -sign
-                grid = [
-                    [grid[a][b] for b in range(len(col_ids)) if b != pos_j]
-                    for a in range(len(row_ids))
-                    if a != pos_i
-                ]
-                row_ids.pop(pos_i)
-                col_ids.pop(pos_j)
-                peeled = True
+                grid = [r[:j] + r[j + 1 :] for a, r in enumerate(grid) if a != i]
                 break
-        if not peeled:
-            core = LaurentMatrix.from_rows(grid)
-            return acc.scale(sign) * _det_bareiss(core)
+        else:
+            return acc.scale(sign) * _det_bareiss(LaurentMatrix.from_rows(grid))
     return acc.scale(sign)
 
 

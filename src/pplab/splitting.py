@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .jetmap import jet_basis
 from .laurent import LaurentMatrix, LaurentPoly, block_components, det_laurent
 from .linalg import Scalar, _eliminate, _frac
 from .symspace import MultiIndex, binomial, monomial_basis
@@ -47,9 +46,10 @@ class TransitionData:
     permutation is a gauge, and after one the cocycle is the direct sum of
     these blocks. `blocks` holds one TransitionData per component, in
     component order; identical blocks share one object, and that block's
-    own `det_laurent` is the only determinant taken for it. A connected
-    cocycle is its own only block. `det_exponent` is e in det = c * t^e, the
-    first Chern class: the sum of the blocks' exponents. A non-square
+    own `det_laurent`, which cuts nothing, is the only determinant taken for
+    it; no other code cuts a cocycle. A connected cocycle is its own only
+    block. `det_exponent` is e in det = c * t^e, the first Chern class: the
+    sum of the blocks' exponents. A non-square
     component, or a block whose determinant is not a unit, raises ValueError.
     """
 
@@ -125,8 +125,9 @@ def jet_transition_matrix(N: int, n: int, k: int) -> TransitionData:
         r_0(s) = 1/(t + s_1) - 1/t = -s_1 / (t (t + s_1)),
         r_j(s) = s_j / (t + s_1)          for j = 2, ..., N.
 
-    Write a jet index as (a, tau), with a the exponent of s_1 and tau the
-    tail. For beta = (b, tau) that product is
+    Jets are indexed by the degree-k monomials: the jet s_1^a s^tau, written
+    (a, tau) with tau the tail, is x_0^(k-a-|tau|) x_1^a x^tau. For
+    beta = (b, tau) that product is
     (-1)^b t^(-b) s_1^b s^tau (t + s_1)^m with m = n - |tau| - b, so
 
         T[(a, tau), (b, tau)] = (-1)^b C(m, a - b) t^(m - a)    for a >= b,
@@ -137,15 +138,16 @@ def jet_transition_matrix(N: int, n: int, k: int) -> TransitionData:
     """
     if N < 1 or n < 1 or k < 0:
         raise ValueError(f"require N >= 1, n >= 1, k >= 0, got N={N}, n={n}, k={k}")
-    jb = jet_basis(N, k)
-    dim = len(jb)
+    basis = monomial_basis(N, k)
+    dim = len(basis)
     entries = [LaurentPoly.zero()] * (dim * dim)
-    for col, (b, *tail) in enumerate(jb):
+    for col, (_, b, *tail) in enumerate(basis):
         tail_degree = sum(tail)
         m = n - tail_degree - b
         for a in range(b, k - tail_degree + 1):
             coeff = (-1) ** b * _series_binomial(m, a - b)
-            entries[jb.index_of((a, *tail)) * dim + col] = LaurentPoly.t_pow(m - a, coeff)
+            row = basis.index_of((k - tail_degree - a, a, *tail))
+            entries[row * dim + col] = LaurentPoly.t_pow(m - a, coeff)
     return TransitionData(dim, LaurentMatrix(dim, dim, tuple(entries)))
 
 
@@ -155,17 +157,18 @@ def jet_transition_matrix(N: int, n: int, k: int) -> TransitionData:
 
 def chart0_jet(mono: MultiIndex, t0: Scalar, k: int) -> tuple[Fraction, ...]:
     """Order-k Taylor coefficients of F(1, t0+s_1, s_2, ..., s_N) for a
-    degree-n monomial F = x^mono, as a vector over the jet basis."""
+    degree-n monomial F = x^mono, as a vector over the jet basis: s^alpha
+    is indexed by the degree-k monomial x_0^(k-|alpha|) x^alpha."""
     t0 = _frac(t0)
     N = len(mono) - 1
-    jb = jet_basis(N, k)
-    out = [Fraction(0)] * len(jb)
+    basis = monomial_basis(N, k)
+    out = [Fraction(0)] * len(basis)
     p1 = mono[1]
     tail = mono[2:]
-    for idx, alpha in enumerate(jb):
-        if alpha[1:] != tail:
+    for idx, alpha in enumerate(basis):
+        if alpha[2:] != tail:
             continue
-        a1 = alpha[0]
+        a1 = alpha[1]
         if a1 > p1:
             continue
         out[idx] = binomial(p1, a1) * t0 ** (p1 - a1)
@@ -174,18 +177,19 @@ def chart0_jet(mono: MultiIndex, t0: Scalar, k: int) -> tuple[Fraction, ...]:
 
 def chart1_jet(mono: MultiIndex, t0: Scalar, k: int) -> tuple[Fraction, ...]:
     """Order-k Taylor coefficients of F(1/t0 + r_0, 1, r_2, ..., r_N) over the
-    jet basis, whose first slot is the w_0 deviation."""
+    jet basis of `chart0_jet`, whose x_1 slot here holds the exponent of the
+    w_0 deviation."""
     t0 = _frac(t0)
     N = len(mono) - 1
-    jb = jet_basis(N, k)
-    out = [Fraction(0)] * len(jb)
+    basis = monomial_basis(N, k)
+    out = [Fraction(0)] * len(basis)
     p0 = mono[0]
     tail = mono[2:]
     w0 = 1 / t0
-    for idx, beta in enumerate(jb):
-        if beta[1:] != tail:
+    for idx, beta in enumerate(basis):
+        if beta[2:] != tail:
             continue
-        b0 = beta[0]
+        b0 = beta[1]
         if b0 > p0:
             continue
         out[idx] = binomial(p0, b0) * w0 ** (p0 - b0)
@@ -202,7 +206,7 @@ def transition_consistency(
     """Oracle for the cocycle: at each sample point t0 and for every degree-n
     monomial, the closed-form chart-0 jet must equal T(t0) applied to the
     closed-form chart-1 jet, exactly."""
-    if len(jet_basis(N, k)) != data.rank:
+    if binomial(N + k, N) != data.rank:
         raise ValueError("transition data does not match the parameters")
     for t0 in sample_points:
         t0 = _frac(t0)

@@ -10,7 +10,6 @@ from pplab.jetmap import (
     _trial_checks,
     _trial_elements,
     exact_sequence_check,
-    jet_basis,
     taylor_fiber_matrix,
     verify_jet_representation,
     verify_jet_representations,
@@ -43,9 +42,11 @@ GRID = [(N, n, k) for N in (1, 2, 3) for n in range(2, 6) for k in range(1, n)]
 
 
 def test_jet_basis_size_and_order():
-    jb = jet_basis(2, 2)
-    assert len(jb) == binomial(4, 2) == 6
-    assert jb.multi_indices == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    # Jets are indexed by the degree-k monomials; their tails are the jet
+    # exponents, by total degree and then descending-lexicographically.
+    tails = tuple(mono[1:] for mono in monomial_basis(2, 2))
+    assert len(tails) == binomial(4, 2) == 6
+    assert tails == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 def test_derivative_matrix_line_degree_two():
@@ -101,6 +102,21 @@ def test_taylor_fiber_line_examples():
 def test_taylor_fiber_rank():
     for (N, n, k) in GRID:
         assert rref(taylor_fiber_matrix(N, n, k)).rank == binomial(k + N, N)
+
+
+def test_derivative_and_taylor_maps_share_their_row_index():
+    # phi is the Taylor map with each column scaled by its falling factorial,
+    # so both write a degree-n monomial to the same jet row; _trial_checks
+    # and the ffs of _equivariance_pass read phi's rows in that index.
+    for (N, n, k) in GRID:
+        phi = x0_derivative_matrix(N, n, k)
+        taylor = taylor_fiber_matrix(N, n, k)
+        basis_n = monomial_basis(N, n)
+        assert (phi.rows, phi.cols) == (taylor.rows, taylor.cols)
+        for r in range(phi.rows):
+            for c, mono in enumerate(basis_n):
+                expected = _falling_factorial(mono[0], n - k) * taylor.entry(r, c)
+                assert phi.entry(r, c) == expected, (N, n, k, r, c)
 
 
 def test_kernels_agree_three_ways():

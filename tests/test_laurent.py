@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pplab import laurent
 from pplab.laurent import LaurentMatrix, LaurentPoly, block_components, det_laurent
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -75,6 +76,8 @@ def permutation_of_parity(rng, n, sign):
 def test_det_diag_t_and_t_inverse():
     m = LaurentMatrix.diagonal([LaurentPoly.t_pow(1), LaurentPoly.t_pow(-1)])
     assert det_laurent(m) == LaurentPoly.const(1)
+    # The empty product: the 0x0 matrix has determinant 1.
+    assert det_laurent(LaurentMatrix(0, 0, ())) == LaurentPoly.const(1)
 
 
 def test_det_diag_t2_t2():
@@ -125,6 +128,23 @@ def test_det_of_permuted_block_diagonal(row_sign, col_sign):
             expected = expected * leibniz_det(b)
         assert det_laurent(p) == leibniz_det(p) == expected
         assert sorted(len(r) for r, _ in block_components(p)) == sorted(sizes)
+
+
+def test_det_of_permuted_block_diagonal_cuts_no_blocks(monkeypatch):
+    # det_laurent takes any square matrix as it is; cutting a cocycle into
+    # blocks is left to TransitionData.
+    def refused(*args):
+        raise AssertionError("det_laurent cut the matrix into blocks")
+
+    monkeypatch.setattr(laurent, "block_components", refused)
+    rng = random.Random(41)
+    for _ in range(6):
+        blocks = [monomial_matrix(rng, rng.randint(1, 3)) for _ in range(rng.randint(2, 3))]
+        m = block_diagonal(blocks)
+        rows = permutation_of_parity(rng, m.rows, rng.choice((1, -1)))
+        cols = permutation_of_parity(rng, m.rows, rng.choice((1, -1)))
+        p = m.submatrix(rows, cols)
+        assert det_laurent(p) == leibniz_det(p)
 
 
 def test_det_with_non_square_component_is_zero():

@@ -5,8 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pplab import splitting
-from pplab.jetmap import jet_basis
+from pplab import laurent, splitting
 from pplab.laurent import LaurentMatrix, LaurentPoly, block_components, det_laurent
 from pplab.splitting import (
     DEFAULT_SAMPLE_POINTS,
@@ -22,7 +21,7 @@ from pplab.splitting import (
     transition_consistency,
     transition_to_json_dict,
 )
-from pplab.symspace import binomial
+from pplab.symspace import binomial, monomial_basis
 
 
 def diag_powers(*exps):
@@ -62,8 +61,9 @@ def series_composition_cocycle(N, n, k):
     that shares nothing with the closed form: column beta is the truncation
     at total s-degree k of (t + s_1)^n * prod_i r_i(s)^beta_i, with
     r_0 = 1/(t + s_1) - 1/t and r_j = s_j / (t + s_1) expanded in s, every
-    coefficient a Laurent polynomial in t."""
-    jb = jet_basis(N, k)
+    coefficient a Laurent polynomial in t. Jets are indexed by the tails of
+    the degree-k monomials."""
+    jb = [mono[1:] for mono in monomial_basis(N, k)]
 
     def s_mono(first, pos=None):
         return tuple(first * (p == 0) + (p == pos) for p in range(N))
@@ -94,7 +94,7 @@ def series_composition_cocycle(N, n, k):
     entries = [LaurentPoly.zero()] * (dim * dim)
     for col, beta in enumerate(jb):
         for alpha, poly in series[beta].items():
-            entries[jb.index_of(alpha) * dim + col] = poly
+            entries[jb.index(alpha) * dim + col] = poly
     return LaurentMatrix(dim, dim, tuple(entries))
 
 
@@ -367,6 +367,29 @@ def test_splitting_type_takes_each_determinant_once(monkeypatch):
         assert splitting_type(data).degrees == degrees
 
 
+def test_transition_data_cuts_the_cocycle_once(monkeypatch):
+    # One cut of the whole matrix, then one per distinct block, which is its
+    # own connected TransitionData; det_laurent cuts nothing again.
+    rng = random.Random(77)
+    parts = [gauged(rng, [2, -1]), gauged(rng, [0, 0, 3])]
+    calls = []
+
+    def counted(m):
+        calls.append(m.rows)
+        return block_components(m)
+
+    monkeypatch.setattr(laurent, "block_components", counted)
+    monkeypatch.setattr(splitting, "block_components", counted)
+    summed = TransitionData(7, direct_sum(parts + parts[:1]))
+    assert calls == [7, 2, 3]
+    calls.clear()
+    jet = jet_transition_matrix(3, 5, 3)
+    distinct = {id(block) for block in jet.blocks}
+    assert len(distinct) == 4 and len(jet.blocks) == 10
+    assert len(calls) == 1 + len(distinct)
+    assert summed.det_exponent == 5
+
+
 def test_splitting_rejects_a_block_with_a_non_unit_determinant():
     # One block's determinant is t + 1, not c * t^e: the constructor
     # refuses it through that block's own TransitionData.
@@ -392,7 +415,7 @@ JET_CASES = [(N, k + 1 + extra, k) for N in (1, 2, 3) for k in (0, 1, 2, 3) for 
 @pytest.mark.parametrize("N,n,k", JET_CASES)
 def test_jet_cocycle_blocks_follow_tail_exponents(N, n, k):
     data = jet_transition_matrix(N, n, k)
-    jb = list(jet_basis(N, k))
+    jb = [mono[1:] for mono in monomial_basis(N, k)]
     blocks = block_components(data.matrix)
     assert len(blocks) == binomial(N - 1 + k, N - 1) == len(tails(N, k))
     seen = set()
