@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals.
 
-`RationalMatrix` is a dense matrix. Every elimination (reduced row-echelon
-form, kernels, determinants, inverses) runs through one sparse Gauss-Jordan
+`RationalMatrix` is a dense matrix. Its eliminations (reduced row-echelon
+form, kernels, determinants, inverses) run through one sparse Gauss-Jordan
 core on {column: value} rows, because the matrices pplab eliminates are
-scaled selections or nearly so. Reduced forms (`RrefResult`) and subspaces
-(`Subspace`) keep what the core leaves, their canonical reduced rows, sparse;
-a dense matrix is built only when a caller asks for one. All entries are
+scaled selections or nearly so. Section ranks, which need no reduced form,
+are counted fraction-free over ints by `splitting._sparse_rank`. Reduced
+forms (`RrefResult`) and subspaces (`Subspace`) keep what the core leaves,
+their canonical reduced rows, sparse; a dense matrix is built only when a
+caller asks for one. All entries are
 `fractions.Fraction`; there are no floats and no tolerances anywhere.
 Matrices and subspaces are immutable after construction, so values can be
 shared freely between threads.
@@ -178,7 +180,8 @@ def _eliminate(
     rows: Iterable[dict[int, Fraction]], reduced: bool = False
 ) -> tuple[dict[int, dict[int, Fraction]], list[Fraction]]:
     """Sparse Gauss-Jordan elimination over the rationals: the one
-    elimination core behind `rref`, `det`, `inverse` and section ranks.
+    elimination core behind `rref`, `det`, `inverse` and `from_vectors`.
+    Section ranks use the fraction-free `splitting._sparse_rank` instead.
 
     Rows are {column: value} dicts and are not modified. Each row is reduced
     by min-column pivoting: its minimum column is eliminated against the

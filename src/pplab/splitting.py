@@ -24,10 +24,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .laurent import LaurentMatrix, LaurentPoly, block_components, det_laurent
-from .linalg import Scalar, _eliminate, _frac
+from .linalg import Scalar, _frac
 from .symspace import MultiIndex, binomial, monomial_basis
 
 DEFAULT_SAMPLE_POINTS: tuple[Fraction, ...] = (
@@ -225,9 +226,53 @@ def transition_consistency(
 # Twisted global sections and splitting extraction.
 # ---------------------------------------------------------------------------
 
-def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
-    """Rank of a sparse rational matrix given as {column: value} rows."""
-    return len(_eliminate(rows)[0])
+def _sparse_rank(rows: list[dict[int, Scalar]]) -> int:
+    """Rank of a sparse rational matrix given as {column: value} rows, by a
+    fraction-free elimination over Python ints (after Bareiss, Math. Comp.
+    22, 1968). Rows are not modified, and zero values are ignored.
+
+    Each row is first multiplied by the lcm of its denominators. It is then
+    reduced by min-column pivoting: while a pivot row p leads at the row's
+    minimum column c, r <- (p_c r - r_c p) / gcd(p_c, r_c), which clears
+    column c, and r is divided by its content, the gcd of its entries. A row
+    with no pivot at its minimum column becomes the pivot row there.
+    Clearing denominators and dividing by the content multiply a row by a
+    nonzero scalar, and the update adds a multiple of a pivot row to a
+    nonzero multiple of r, so none of them changes the span of the rows
+    seen so far. The pivot rows lead at distinct columns, so they are a
+    basis of that span and their count is the rank. Each step removes the
+    minimum column, so the loop ends.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        den = lcm(*[v.denominator for v in row.values()])
+        if den == 1:
+            r = {c: v.numerator for c, v in row.items() if v}
+        else:
+            r = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        while r:
+            c = min(r)
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = r
+                break
+            a, b = pivot[c], r[c]
+            g = gcd(a, b)
+            if g != 1:
+                a, b = a // g, b // g
+            if a != 1:
+                r = {cc: a * v for cc, v in r.items()}
+            for cc, v in pivot.items():
+                val = r.get(cc, 0) - b * v
+                if val:
+                    r[cc] = val
+                else:
+                    del r[cc]
+            if r:
+                g = gcd(*r.values())
+                if g != 1:
+                    r = {cc: v // g for cc, v in r.items()}
+    return len(pivots)
 
 
 def _section_space_dim(data: TransitionData, m: int, degree_bound: int) -> int:
@@ -236,22 +281,23 @@ def _section_space_dim(data: TransitionData, m: int, degree_bound: int) -> int:
 
     This undercounts the true section space when degree_bound is too small,
     never overcounts; `h0_twisted` passes a bound proven to be large enough.
+    Integer coefficients are summed as ints, and `_sparse_rank` clears the
+    denominators of the rest.
     """
     rho = data.rank
-    unknowns = rho * (degree_bound + 1)
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    width = degree_bound + 1
+    unknowns = rho * width
+    rows: dict[tuple[int, int], dict[int, Scalar]] = {}
     for comp in range(rho):
         for j in range(rho):
             poly = data.matrix.entry(comp, j)
             for exp, coeff in poly.coeffs:
-                for i in range(degree_bound + 1):
-                    e = exp + m - i
-                    if e >= 0:
-                        continue
-                    key = (comp, e)
-                    row = rows.setdefault(key, {})
-                    col = j * (degree_bound + 1) + i
-                    row[col] = row.get(col, Fraction(0)) + coeff
+                value = coeff.numerator if coeff.denominator == 1 else coeff
+                # Only the negative exponents exp + m - i of chart 0 give equations.
+                for i in range(max(0, exp + m + 1), width):
+                    row = rows.setdefault((comp, exp + m - i), {})
+                    col = j * width + i
+                    row[col] = row.get(col, 0) + value
     rank = _sparse_rank(list(rows.values()))
     return unknowns - rank
 

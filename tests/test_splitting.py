@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pplab import laurent, splitting
+from pplab import laurent, linalg, splitting
 from pplab.laurent import LaurentMatrix, LaurentPoly, block_components, det_laurent
 from pplab.splitting import (
     DEFAULT_SAMPLE_POINTS,
@@ -287,6 +287,25 @@ def test_splitting_gauge_invariance():
         assert splitting_type(gauged).degrees == tuple(sorted(exps, reverse=True))
 
 
+def test_splitting_of_a_cocycle_with_non_integer_coefficients():
+    # diag(t^d) gauged by unitriangular factors with coefficients 1/2 and
+    # -2/3, and one column scaled by the constant 3/5, which is a gauge too,
+    # so the section systems have non-integer coefficients to clear.
+    degrees = [3, -1, 0]
+    one, zero = LaurentPoly.const(1), LaurentPoly.zero()
+    half_t = LaurentPoly.t_pow(1, Fraction(1, 2))
+    inv_t = LaurentPoly.t_pow(-1, Fraction(-2, 3))
+    left = LaurentMatrix.from_rows([[one, half_t, zero], [zero, one, half_t], [zero, zero, one]])
+    right = LaurentMatrix.from_rows([[one, zero, zero], [inv_t, one, zero], [zero, inv_t, one]])
+    scale = LaurentMatrix.diagonal([one, LaurentPoly.const(Fraction(3, 5)), one])
+    data = TransitionData(3, left @ diag_powers(*degrees).matrix @ right @ scale)
+    assert any(c.denominator != 1 for p in data.matrix.entries for _, c in p.coeffs)
+    assert len(data.blocks) == 1
+    for m in range(-6, 6):
+        assert h0_twisted(data, m) == sum(max(0, d + m + 1) for d in degrees), m
+    assert splitting_type(data).degrees == tuple(sorted(degrees, reverse=True))
+
+
 def gauged(rng, exps):
     rank = len(exps)
     left = random_unimodular(rank, rng, inverse_variable=False)
@@ -439,6 +458,42 @@ def test_jet_section_count_is_sum_over_blocks(N, n, k):
     for m in range(k - n - 2, k - n + 4):
         whole = _section_space_dim(data, m, bound)
         assert whole == sum(_section_space_dim(p, m, bound) for p in parts)
+
+
+def test_integer_sparse_rank_matches_rational_elimination(monkeypatch):
+    # Capture every section system the twist windows build, for the
+    # criterion-6 cocycles and the jet cocycles of JET_CASES, and compare
+    # the fraction-free rank with the rational Gauss-Jordan core.
+    rank = splitting._sparse_rank
+    systems = []
+
+    def spy(rows):
+        systems.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(splitting, "_sparse_rank", spy)
+    cocycles = [data for data, _ in criterion_6_cases()]
+    cocycles += [jet_transition_matrix(*case) for case in JET_CASES]
+    for data in cocycles:
+        splitting_type(data)
+    assert len(systems) > len(cocycles)
+
+    def rational_rank(rows):
+        return len(linalg._eliminate([{c: Fraction(v) for c, v in r.items()} for r in rows])[0])
+
+    nonzero = 0
+    for rows in systems:
+        width = 1 + max((c for row in rows for c in row), default=0)
+        # Explicit zeros, as the accumulator leaves when terms cancel, and
+        # an empty row change nothing.
+        padded = [{0: 0, **row, width: 0} for row in rows] + [{}]
+        for variant in (rows, padded):
+            before = [dict(row) for row in variant]
+            expected = rational_rank(variant)
+            assert rank(variant) == expected
+            assert variant == before
+        nonzero += expected > 0
+    assert nonzero > 0
 
 
 def test_jet_splitting_is_uniform():
