@@ -246,10 +246,7 @@ def _sparse_rank(rows: list[dict[int, Scalar]]) -> int:
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         den = lcm(*[v.denominator for v in row.values()])
-        if den == 1:
-            r = {c: v.numerator for c, v in row.items() if v}
-        else:
-            r = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        r = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         while r:
             c = min(r)
             pivot = pivots.get(c)
