@@ -145,7 +145,7 @@ def _trial_elements(
     instead of failing the trials as if it were a counterexample. The first
     element is also built as a `GroupElement`, which checks its determinant
     and shape on the rational matrix, and its B / c is compared with its
-    inverse by Gauss-Jordan elimination.
+    inverse by `RationalMatrix.inverse`.
     """
     rng = random.Random(seed)
     for trial in range(trials):

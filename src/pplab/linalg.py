@@ -1,23 +1,24 @@
 """Exact linear algebra over the rationals.
 
 `RationalMatrix` is a dense matrix. Its eliminations (reduced row-echelon
-form, kernels, determinants, inverses) run through one sparse Gauss-Jordan
-core on {column: value} rows, because the matrices pplab eliminates are
-scaled selections or nearly so. Section ranks, which need no reduced form,
-are counted fraction-free over ints by `splitting._sparse_rank`. Reduced
-forms (`RrefResult`) and subspaces (`Subspace`) keep what the core leaves,
-their canonical reduced rows, sparse; a dense matrix is built only when a
-caller asks for one. All entries are
-`fractions.Fraction`; there are no floats and no tolerances anywhere.
-Matrices and subspaces are immutable after construction, so values can be
-shared freely between threads.
+form, kernels, determinants, inverses) and the section ranks of
+`splitting` run through one sparse fraction-free core over Python ints,
+`_eliminate`, on {column: value} rows, because the matrices pplab
+eliminates are scaled selections or nearly so. The core takes int and
+`Fraction` values and clears each row's denominators; `Fraction`s are
+built again only where results leave this module. Reduced forms
+(`RrefResult`) and subspaces (`Subspace`) keep their canonical reduced
+rows sparse; a dense matrix is built only when a caller asks for one.
+Every entry they hand out is a `fractions.Fraction`; there are no floats
+and no tolerances anywhere. Matrices and subspaces are immutable after
+construction, so values can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 Scalar = int | Fraction
@@ -125,34 +126,36 @@ class RationalMatrix:
         return all(x == 0 for x in self.entries)
 
     def det(self) -> Fraction:
-        """Exact determinant: the signed product of the raw pivots of the
-        sparse elimination core."""
+        """Exact determinant, from the elimination of [self | I]. Input row i
+        becomes the pivot row s * (row i + a combination of earlier rows),
+        and its scale s, the row's lcm times its `a` multipliers over its
+        content divisors, is its entry in identity column i. So det is the
+        signed product of lead / s over the pivots, or 0 when a row leads
+        in the identity half."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        pivots, leads = _eliminate(_sparse_rows(self))
-        if len(pivots) < self.rows:
+        n = self.rows
+        pivots = _eliminate(_with_identity(self))
+        if any(c >= n for c in pivots):
             return Fraction(0)
         # Row i ends up leading at column cols[i]; sorting the rows by that
         # column gives a triangular matrix, at the sign of the permutation.
         cols = list(pivots)
         inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :])
-        return prod(leads, start=Fraction(-1 if inversions % 2 else 1))
+        leads = prod(row[c] for c, row in pivots.items())
+        scales = prod(row[n + i] for i, row in enumerate(pivots.values()))
+        return Fraction(-leads if inversions % 2 else leads, scales)
 
     def inverse(self) -> "RationalMatrix":
         """Exact inverse: the reduced form of [self | I] is [I | inverse]."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = _sparse_rows(self)
-        for i, row in enumerate(aug):
-            row[n + i] = Fraction(1)
-        pivots, _ = _eliminate(aug, reduced=True)
+        pivots = _eliminate(_with_identity(self), reduced=True)
         if any(c >= n for c in pivots):
             raise ValueError("matrix is singular")
-        zero = Fraction(0)
-        return RationalMatrix(
-            n, n, tuple(pivots[i].get(n + j, zero) for i in range(n) for j in range(n))
-        )
+        out = [Fraction(pivots[i].get(n + j, 0), pivots[i][i]) for i in range(n) for j in range(n)]
+        return RationalMatrix(n, n, tuple(out))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
@@ -163,57 +166,84 @@ def _sparse_rows(m: RationalMatrix) -> list[dict[int, Fraction]]:
     return [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
 
 
-def _cancel(r: dict[int, Fraction], c: int, pivot: dict[int, Fraction]) -> None:
-    """Subtract r[c] times the normalized pivot row (pivot[c] == 1) from r,
-    which clears column c of r."""
-    f = r.pop(c)
-    for cc, vv in pivot.items():
-        if cc != c:
-            val = r.get(cc, Fraction(0)) - f * vv
-            if val:
-                r[cc] = val
-            else:
-                r.pop(cc, None)
+def _with_identity(m: RationalMatrix) -> list[dict[int, Fraction]]:
+    """Sparse rows of [m | I]."""
+    rows = _sparse_rows(m)
+    for i, row in enumerate(rows):
+        row[m.cols + i] = _ONE
+    return rows
 
 
 def _eliminate(
-    rows: Iterable[dict[int, Fraction]], reduced: bool = False
-) -> tuple[dict[int, dict[int, Fraction]], list[Fraction]]:
-    """Sparse Gauss-Jordan elimination over the rationals: the one
-    elimination core behind `rref`, `det`, `inverse` and `from_vectors`.
-    Section ranks use the fraction-free `splitting._sparse_rank` instead.
+    rows: Iterable[Mapping[int, Scalar]], reduced: bool = False
+) -> dict[int, dict[int, int]]:
+    """Sparse fraction-free elimination over Python ints (after Bareiss,
+    Math. Comp. 22, 1968): the one elimination core behind `rref`, `det`,
+    `inverse`, `from_vectors` and the section ranks of `splitting`.
 
-    Rows are {column: value} dicts and are not modified. Each row is reduced
-    by min-column pivoting: its minimum column is eliminated against the
-    pivot row of that column until it has none, and then the row, divided by
-    its entry there, becomes the pivot row of that column. Every step removes
-    the minimum column, so the loop ends. Returns the pivot rows keyed by
-    their column, in the order the input rows became pivots, and the raw
-    pivot entries in the same order. With `reduced`, a back-substitution
-    pass also clears every pivot column from the other pivot rows, which
-    leaves the canonical reduced row-echelon rows.
+    Rows are {column: value} mappings of ints and Fractions; they are not
+    modified, and zero values are ignored. Each row is first multiplied by
+    the lcm of its denominators. It is then reduced by min-column pivoting:
+    while a pivot row p leads at the row's minimum column c,
+    r <- (p_c r - r_c p) / gcd(p_c, r_c), which clears column c, and r is
+    divided by its content, the gcd of its entries. A row with no pivot at
+    its minimum column becomes the pivot row there. Clearing denominators
+    and dividing by the content multiply a row by a nonzero scalar, and the
+    update adds a multiple of a pivot row to a nonzero multiple of r, so
+    none of them changes the span of the rows seen so far. The pivot rows
+    lead at distinct columns, so they are a basis of that span and their
+    count is the rank. Each step removes the minimum column, so the loop
+    ends.
+
+    Returns the integer pivot rows keyed by their column, in the order the
+    input rows became pivots. With `reduced`, a back-substitution pass
+    clears every pivot column from the other pivot rows, which leaves each
+    pivot row a multiple of its canonical reduced row-echelon row.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
-    leads: list[Fraction] = []
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        r = {c: v for c, v in row.items() if v}
+        den = lcm(*[v.denominator for v in row.values()])
+        r = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         while r:
             c = min(r)
             pivot = pivots.get(c)
             if pivot is None:
-                lead = r[c]
-                pivots[c] = {cc: vv / lead for cc, vv in r.items()}
-                leads.append(lead)
+                pivots[c] = r
                 break
-            _cancel(r, c, pivot)
-    if reduced:
-        # Pivot rows with larger columns are reduced first; subtracting one
-        # only adds entries in non-pivot columns.
-        for c in sorted(pivots, reverse=True):
-            row = pivots[c]
-            for cc in sorted(cc for cc in row if cc != c and cc in pivots):
-                _cancel(row, cc, pivots[cc])
-    return pivots, leads
+            a, b = pivot[c], r[c]
+            g = gcd(a, b)
+            if g != 1:
+                a, b = a // g, b // g
+            if a != 1:
+                r = {cc: a * v for cc, v in r.items()}
+            for cc, v in pivot.items():
+                val = r.get(cc, 0) - b * v
+                if val:
+                    r[cc] = val
+                else:
+                    del r[cc]
+            if r:
+                g = gcd(*r.values())
+                if g != 1:
+                    r = {cc: v // g for cc, v in r.items()}
+    if reduced and any(cc != c and cc in pivots for c, row in pivots.items() for cc in row):
+        # Back substitution is this same loop over the pivot rows, largest
+        # pivot first, with each pivot column c relabeled flip - c, below
+        # every other column. Each row is then cleared at its larger pivot
+        # columns, by rows holding no other pivot column, before it becomes
+        # the pivot row at its own column again. It is skipped when no pivot
+        # row holds another pivot column, as for scaled selections.
+        lo = min(pivots)
+        flip = 2 * lo - 1
+        back = _eliminate(
+            {(flip - cc if cc in pivots else cc): v for cc, v in pivots[c].items()}
+            for c in sorted(pivots, reverse=True)
+        )
+        pivots = {
+            flip - c: {(flip - cc if cc < lo else cc): v for cc, v in row.items()}
+            for c, row in back.items()
+        }
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -274,7 +304,7 @@ class Subspace:
         """Span of the vectors, each either dense, of length ambient_dim, or
         a {column: value} mapping."""
         sparse = [_sparse_vector(v, ambient_dim) for v in vectors]
-        pivots, _ = _eliminate(sparse, reduced=True)
+        pivots = _eliminate(sparse, reduced=True)
         return Subspace(ambient_dim, _canonical_rows(pivots))
 
     @staticmethod
@@ -295,10 +325,14 @@ def _sparse_vector(
     return {c: _frac(x) for c, x in items if x}
 
 
-def _canonical_rows(pivots: dict[int, dict[int, Fraction]]) -> tuple[SparseRow, ...]:
+def _canonical_rows(pivots: dict[int, dict[int, int]]) -> tuple[SparseRow, ...]:
     """The reduced pivot rows of `_eliminate(..., reduced=True)` as sorted
-    (column, value) tuples, in increasing pivot order."""
-    return tuple(tuple(sorted(pivots[c].items())) for c in sorted(pivots))
+    (column, value) tuples, each entry over its row's lead, in increasing
+    pivot order."""
+    return tuple(
+        tuple((cc, Fraction(v, pivots[c][c])) for cc, v in sorted(pivots[c].items()))
+        for c in sorted(pivots)
+    )
 
 
 def _dense(rows: Sequence[SparseRow], nrows: int, cols: int) -> RationalMatrix:
@@ -351,7 +385,7 @@ def rref(m: RationalMatrix) -> RrefResult:
     """Reduced row-echelon form: pivot entries 1, zeros above and below,
     pivot columns strictly increasing, zero rows last. The RREF is unique,
     so the sparse core's choice of pivots does not show in the result."""
-    pivots, _ = _eliminate(_sparse_rows(m), reduced=True)
+    pivots = _eliminate(_sparse_rows(m), reduced=True)
     return RrefResult(m.rows, Subspace(m.cols, _canonical_rows(pivots)))
 
 

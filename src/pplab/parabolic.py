@@ -207,7 +207,7 @@ def _scaled_inverse_rows(g: GroupElement | Draw) -> tuple[tuple[tuple[int, ...],
     * G B = d c I, where G = d g is g cleared by d = |u| v
       (`Draw.cleared_rows`), so B / c is the inverse of g.
 
-    Any other element is inverted by Gauss-Jordan elimination.
+    Any other element is inverted by `RationalMatrix.inverse`.
     """
     if not isinstance(g, Draw):
         inv = g.mat.inverse()

@@ -24,11 +24,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cached_property
 from typing import Sequence
 
 from .laurent import LaurentMatrix, LaurentPoly, block_components, det_laurent
-from .linalg import Scalar, _frac
+from .linalg import Scalar, _eliminate, _frac
 from .symspace import MultiIndex, binomial, monomial_basis
 
 DEFAULT_SAMPLE_POINTS: tuple[Fraction, ...] = (
@@ -86,6 +86,15 @@ class TransitionData:
     @property
     def blocks(self) -> tuple[TransitionData, ...]:
         return (self,) if self._blocks is None else self._blocks
+
+    @cached_property
+    def adjugate_floor(self) -> int:
+        """The bound L of `h0_twisted`, read once per cocycle."""
+        row_mins = [
+            min(p.min_exp for p in self.matrix.row(i) if not p.is_zero())
+            for i in range(self.rank)
+        ]
+        return sum(row_mins) - max(row_mins)
 
 
 @dataclass(frozen=True)
@@ -227,49 +236,9 @@ def transition_consistency(
 # ---------------------------------------------------------------------------
 
 def _sparse_rank(rows: list[dict[int, Scalar]]) -> int:
-    """Rank of a sparse rational matrix given as {column: value} rows, by a
-    fraction-free elimination over Python ints (after Bareiss, Math. Comp.
-    22, 1968). Rows are not modified, and zero values are ignored.
-
-    Each row is first multiplied by the lcm of its denominators. It is then
-    reduced by min-column pivoting: while a pivot row p leads at the row's
-    minimum column c, r <- (p_c r - r_c p) / gcd(p_c, r_c), which clears
-    column c, and r is divided by its content, the gcd of its entries. A row
-    with no pivot at its minimum column becomes the pivot row there.
-    Clearing denominators and dividing by the content multiply a row by a
-    nonzero scalar, and the update adds a multiple of a pivot row to a
-    nonzero multiple of r, so none of them changes the span of the rows
-    seen so far. The pivot rows lead at distinct columns, so they are a
-    basis of that span and their count is the rank. Each step removes the
-    minimum column, so the loop ends.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        den = lcm(*[v.denominator for v in row.values()])
-        r = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
-        while r:
-            c = min(r)
-            pivot = pivots.get(c)
-            if pivot is None:
-                pivots[c] = r
-                break
-            a, b = pivot[c], r[c]
-            g = gcd(a, b)
-            if g != 1:
-                a, b = a // g, b // g
-            if a != 1:
-                r = {cc: a * v for cc, v in r.items()}
-            for cc, v in pivot.items():
-                val = r.get(cc, 0) - b * v
-                if val:
-                    r[cc] = val
-                else:
-                    del r[cc]
-            if r:
-                g = gcd(*r.values())
-                if g != 1:
-                    r = {cc: v // g for cc, v in r.items()}
-    return len(pivots)
+    """Rank of a sparse rational matrix given as {column: value} rows of
+    ints and Fractions: the pivot count of `linalg._eliminate`."""
+    return len(_eliminate(rows))
 
 
 def _section_space_dim(data: TransitionData, m: int, degree_bound: int) -> int:
@@ -278,8 +247,8 @@ def _section_space_dim(data: TransitionData, m: int, degree_bound: int) -> int:
 
     This undercounts the true section space when degree_bound is too small,
     never overcounts; `h0_twisted` passes a bound proven to be large enough.
-    Integer coefficients are summed as ints, and `_sparse_rank` clears the
-    denominators of the rest.
+    Integer coefficients are summed as ints, and the elimination core
+    behind `_sparse_rank` clears the denominators of the rest.
     """
     rho = data.rank
     width = degree_bound + 1
@@ -308,14 +277,10 @@ def h0_twisted(data: TransitionData, m: int) -> int:
     least exponents of the other rows, which is at least
     L = (sum of the row minima) - (largest row minimum). As f_0 is a
     polynomial in t, every exponent of f_1(1/t) is at least L - m - e, so
-    deg f_1 <= max(0, m + e - L) holds for every section.
+    deg f_1 <= max(0, m + e - L) holds for every section
+    (`TransitionData.adjugate_floor` is L).
     """
-    row_mins = [
-        min(p.min_exp for p in data.matrix.row(i) if not p.is_zero())
-        for i in range(data.rank)
-    ]
-    least = sum(row_mins) - max(row_mins)
-    return _section_space_dim(data, m, max(0, m + data.det_exponent - least))
+    return _section_space_dim(data, m, max(0, m + data.det_exponent - data.adjugate_floor))
 
 
 def splitting_type(data: TransitionData) -> SplittingType:

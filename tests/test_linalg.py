@@ -1,10 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pplab import linalg
 from pplab.linalg import RationalMatrix, Subspace, kernel_basis, rref, subspace_equal
 from pplab.splitting import _sparse_rank
 
@@ -127,7 +130,7 @@ def test_rank_nullity(m):
 @given(any_matrices)
 def test_sparse_rank_matches_rref(m):
     rows = [{j: x for j, x in enumerate(row) if x} for row in m.iter_rows()]
-    assert _sparse_rank(rows) == rref(m).rank
+    assert _sparse_rank(rows) == len(_naive_gauss_jordan(m.to_rows())[1])
 
 
 @settings(deadline=None, max_examples=40)
@@ -242,6 +245,8 @@ def test_from_vectors_refuses_bad_vectors():
         Subspace.from_vectors([[1, 0], [1, 0, 0]], 3)
     with pytest.raises(ValueError):
         Subspace.from_vectors([{3: 1}], 3)
+    with pytest.raises(ValueError):
+        Subspace.from_vectors([{0: 1, -1: 2}, {0: 3}], 3)
 
 
 def test_matmul_and_inverse_roundtrip():
@@ -331,3 +336,52 @@ def test_det_matches_leibniz(m):
 def test_det_hand_cases_match_leibniz(rows):
     m = RationalMatrix.from_rows(rows)
     assert m.det() == _leibniz_det(m.to_rows())
+
+
+def _mixed_rows(m):
+    """Sparse rows of m with integral entries as int, the rest as Fraction."""
+    return [
+        {j: x.numerator if x.denominator == 1 else x for j, x in enumerate(row) if x}
+        for row in m.iter_rows()
+    ]
+
+
+def _cleared(m):
+    """m with each row multiplied by the lcm of its denominators."""
+    return RationalMatrix.from_rows(
+        [[x * lcm(*(y.denominator for y in row)) for x in row] for row in m.iter_rows()],
+        cols=m.cols,
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(any_matrices)
+def test_eliminate_is_exact_on_int_and_mixed_rows(m):
+    # int values must give the integer pivot rows of the same values as
+    # Fractions, never float ones, and canonical rows over the rationals.
+    for mat in (m, _cleared(m)):
+        fraction_rows = [{j: x for j, x in enumerate(row) if x} for row in mat.iter_rows()]
+        got = linalg._eliminate(_mixed_rows(mat), reduced=True)
+        assert got == linalg._eliminate(fraction_rows, reduced=True)
+        assert all(type(x) is int for row in got.values() for x in row.values())
+        want_rows, _ = _naive_gauss_jordan(mat.to_rows())
+        want = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in want_rows if any(row))
+        canonical = linalg._canonical_rows(got)
+        assert canonical == want
+        assert all(type(x) is Fraction for row in canonical for _, x in row)
+
+
+@settings(deadline=None, max_examples=100)
+@given(square_matrices)
+def test_det_and_inverse_are_exact_on_int_and_mixed_rows(m):
+    for mat in (m, _cleared(m)):
+        want_det = _leibniz_det(mat.to_rows())
+        want_inverse = mat.inverse() if want_det else None
+        with mock.patch.object(linalg, "_sparse_rows", _mixed_rows):
+            det = mat.det()
+            inverse = mat.inverse() if want_det else None
+        assert type(det) is Fraction and det == want_det
+        if want_det:
+            assert inverse == want_inverse
+            assert all(type(x) is Fraction for x in inverse.entries)
+            assert mat @ inverse == RationalMatrix.identity(mat.rows)
