@@ -228,8 +228,9 @@ def _eliminate(
                     r = {cc: v // g for cc, v in r.items()}
     if reduced and any(cc != c and cc in pivots for c, row in pivots.items() for cc in row):
         # Back substitution is this same loop over the pivot rows, largest
-        # pivot first, with each pivot column c relabeled flip - c, below
-        # every other column. Each row is then cleared at its larger pivot
+        # pivot first, with each pivot column c relabeled flip - c < lo: below
+        # every non-pivot column, which all exceed the least pivot column lo,
+        # and largest first. Each row is then cleared at its larger pivot
         # columns, by rows holding no other pivot column, before it becomes
         # the pivot row at its own column again. It is skipped when no pivot
         # row holds another pivot column, as for scaled selections.
