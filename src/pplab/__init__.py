@@ -9,6 +9,7 @@ from .linalg import RationalMatrix, Subspace, kernel_basis, rref, subspace_equal
 from .laurent import LaurentMatrix, LaurentPoly, det_laurent
 from .symspace import (
     MonomialBasis,
+    ParameterError,
     PolyVector,
     binomial,
     codimension_identity,
@@ -56,6 +57,7 @@ __all__ = [
     "LaurentPoly",
     "det_laurent",
     "MonomialBasis",
+    "ParameterError",
     "PolyVector",
     "binomial",
     "codimension_identity",

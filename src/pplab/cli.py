@@ -6,8 +6,13 @@ counterexample is found, 2 on usage or parameter errors, 3 on an internal
 error (any other exception; one `internal error:` line on stderr, no
 traceback), so that a crash never reads as a counterexample. Reports are
 deterministic for a fixed configuration and seed; only the elapsed_ms field
-varies between runs. The environment variable PPLAB_SEED, when set, overrides
-the --seed flag.
+varies between runs.
+
+Each command declares only the options its handler reads (`COMMANDS`), so an
+option it does not read is a usage error. The environment variable
+PPLAB_SEED, when set, overrides --seed on the commands that have it,
+verify-theorem and sweep. The ranges of N, n and k are checked by the
+library, whose ParameterError is a usage error here.
 """
 
 from __future__ import annotations
@@ -33,7 +38,15 @@ from .splitting import (
     splitting_type,
     transition_to_json_dict,
 )
-from .symspace import binomial, codimension_identity, dim_sym, m_power_subspace
+from .symspace import (
+    ParameterError,
+    binomial,
+    check_corollary_regime,
+    check_theorem_regime,
+    codimension_identity,
+    dim_sym,
+    m_power_subspace,
+)
 
 EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -109,26 +122,7 @@ def _emit(report: dict, args: argparse.Namespace, text: str) -> None:
     _write(json.dumps(report, indent=2) if args.output == "json" else text, args.out)
 
 
-def _require_theorem_regime(N: int, n: int, k: int) -> None:
-    if N < 1:
-        raise ParameterError(f"N must be at least 1 (got N={N})")
-    if not 1 <= k < n:
-        raise ParameterError(f"parameters must satisfy 1 <= k < n (got k={k}, n={n})")
-
-
-def _require_jet_parameters(N: int, n: int, k: int) -> None:
-    if N < 1 or n < 1 or k < 0:
-        raise ParameterError(
-            f"parameters must satisfy N >= 1, n >= 1, k >= 0 (got N={N}, n={n}, k={k})"
-        )
-
-
-class ParameterError(Exception):
-    pass
-
-
 def cmd_verify_theorem(args: argparse.Namespace) -> int:
-    _require_theorem_regime(args.N, args.n, args.k)
     start = time.monotonic()
     report = verify_jet_representation(
         args.N, args.n, args.k, trials=args.trials, seed=args.seed, height=args.height
@@ -166,10 +160,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_corollary(args: argparse.Namespace) -> int:
-    if args.N < 1 or not 0 <= args.k < args.n:
-        raise ParameterError(
-            f"parameters must satisfy N >= 1 and 0 <= k < n (got N={args.N}, k={args.k}, n={args.n})"
-        )
+    check_corollary_regime(args.N, args.n, args.k)
     start = time.monotonic()
     data = jet_transition_matrix(args.N, args.n, args.k)
     result = _splitting_result(data, args.N, args.n, args.k)
@@ -191,7 +182,7 @@ def cmd_verify_corollary(args: argparse.Namespace) -> int:
 
 
 def cmd_dims(args: argparse.Namespace) -> int:
-    _require_theorem_regime(args.N, args.n, args.k)
+    check_theorem_regime(args.N, args.n, args.k)
     start = time.monotonic()
     full = dim_sym(args.N, args.n)
     sub = m_power_subspace(args.N, args.n, args.k).dim
@@ -218,7 +209,6 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 
 def cmd_splitting_type(args: argparse.Namespace) -> int:
-    _require_jet_parameters(args.N, args.n, args.k)
     start = time.monotonic()
     st = splitting_type(jet_transition_matrix(args.N, args.n, args.k))
     body = _report_skeleton("splitting-type", {"N": args.N, "n": args.n, "k": args.k})
@@ -232,7 +222,6 @@ def cmd_splitting_type(args: argparse.Namespace) -> int:
 
 
 def cmd_export_transition(args: argparse.Namespace) -> int:
-    _require_jet_parameters(args.N, args.n, args.k)
     data = jet_transition_matrix(args.N, args.n, args.k)
     _write(json.dumps(transition_to_json_dict(data), indent=2), args.out)
     return EXIT_PASS
@@ -329,10 +318,6 @@ def _sweep_text(report: dict) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     n_values = args.N if args.N else list(DEFAULT_SWEEP_N)
     degree_values = args.n if args.n else list(DEFAULT_SWEEP_DEGREES)
-    if not n_values or not degree_values:
-        raise ParameterError("sweep ranges must be nonempty")
-    if any(N < 1 for N in n_values):
-        raise ParameterError("all N values must be at least 1")
     report = run_sweep(
         n_values, degree_values, args.k, args.trials, args.seed, args.height
     )
@@ -356,21 +341,36 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, ranges: bool = False) -> None:
-    if ranges:
-        parser.add_argument("--N", type=int, nargs="+", default=None, help="ambient dimensions")
-        parser.add_argument("--n", type=int, nargs="+", default=None, help="line bundle degrees")
-        parser.add_argument("--k", type=int, nargs="+", default=None, help="jet orders (default: all 1 <= k < n)")
-    else:
-        parser.add_argument("--N", type=int, required=True, help="ambient dimension")
-        parser.add_argument("--n", type=int, required=True, help="line bundle degree")
-        parser.add_argument("--k", type=int, required=True, help="jet order")
-    parser.add_argument("--trials", type=_positive_int, default=100, help="random stabilizer trials")
-    parser.add_argument("--seed", type=int, default=0, help="random seed (PPLAB_SEED overrides)")
-    parser.add_argument("--height", type=_positive_int, default=3, help="entry bound for random elements")
-    parser.add_argument("--output", choices=("text", "json"), default="text")
-    parser.add_argument("--out", default=None, help="write the report to this path")
-    parser.add_argument("--verbose", action="store_true", help="embed full matrices in JSON reports")
+_TRIPLE = {
+    "--N": dict(type=int, required=True, help="ambient dimension"),
+    "--n": dict(type=int, required=True, help="line bundle degree"),
+    "--k": dict(type=int, required=True, help="jet order"),
+}
+_RANGES = {
+    "--N": dict(type=int, nargs="+", default=None, help="ambient dimensions"),
+    "--n": dict(type=int, nargs="+", default=None, help="line bundle degrees"),
+    "--k": dict(type=int, nargs="+", default=None, help="jet orders (default: all 1 <= k < n)"),
+}
+_TRIALS = {
+    "--trials": dict(type=_positive_int, default=100, help="random stabilizer trials"),
+    "--seed": dict(type=int, default=0, help="random seed (PPLAB_SEED overrides)"),
+    "--height": dict(type=_positive_int, default=3, help="entry bound for random elements"),
+}
+_OUT = {"--out": dict(default=None, help="write the output to this path")}
+_REPORT = {"--output": dict(choices=("text", "json"), default="text")} | _OUT
+_VERBOSE = {"--verbose": dict(action="store_true", help="embed full matrices in JSON reports")}
+
+# Each command with its handler, its help and the only options the handler reads.
+COMMANDS = (
+    ("verify-theorem", cmd_verify_theorem, "kernel, rank and equivariance checks for one (N, n, k)",
+     _TRIPLE | _TRIALS | _REPORT | _VERBOSE),
+    ("verify-corollary", cmd_verify_corollary, "splitting-type check for one (N, n, k)",
+     _TRIPLE | _REPORT | _VERBOSE),
+    ("dims", cmd_dims, "dimension counts and the codimension identity", _TRIPLE | _REPORT),
+    ("splitting-type", cmd_splitting_type, "compute the splitting type of the jet cocycle", _TRIPLE | _REPORT),
+    ("export-transition", cmd_export_transition, "export the jet cocycle as JSON", _TRIPLE | _OUT),
+    ("sweep", cmd_sweep, "run all checks over a parameter grid", _RANGES | _TRIALS | _REPORT),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,31 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"pplab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-theorem", help="kernel, rank and equivariance checks for one (N, n, k)")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_theorem)
-
-    p = sub.add_parser("verify-corollary", help="splitting-type check for one (N, n, k)")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_corollary)
-
-    p = sub.add_parser("dims", help="dimension counts and the codimension identity")
-    _add_common(p)
-    p.set_defaults(func=cmd_dims)
-
-    p = sub.add_parser("splitting-type", help="compute the splitting type of the jet cocycle")
-    _add_common(p)
-    p.set_defaults(func=cmd_splitting_type)
-
-    p = sub.add_parser("export-transition", help="export the jet cocycle as JSON")
-    _add_common(p)
-    p.set_defaults(func=cmd_export_transition)
-
-    p = sub.add_parser("sweep", help="run all checks over a parameter grid")
-    _add_common(p, ranges=True)
-    p.set_defaults(func=cmd_sweep)
-
+    for name, func, help_text, options in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser
 
 

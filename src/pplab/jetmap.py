@@ -28,8 +28,9 @@ from .parabolic import (
     _substitution_images,
 )
 from .symspace import (
-    _check_subspace_params,
+    ParameterError,
     binomial,
+    check_theorem_regime,
     dim_sym,
     m_power_subspace,
     monomial_basis,
@@ -47,7 +48,7 @@ def x0_derivative_matrix(N: int, n: int, k: int) -> RationalMatrix:
     """Matrix of the (n-k)-fold derivative d^(n-k)/dx_0^(n-k) from degree-n
     to degree-k monomials. Each monomial maps to at most one monomial, so the
     matrix is a scaled selection; it is surjective of rank binom(k+N, N)."""
-    _check_subspace_params(N, n, k)
+    check_theorem_regime(N, n, k)
     basis_n = monomial_basis(N, n)
     basis_k = monomial_basis(N, k)
     steps = n - k
@@ -70,7 +71,7 @@ def taylor_fiber_matrix(N: int, n: int, k: int) -> RationalMatrix:
     `x0_derivative_matrix` sends it to: the two maps share their row index.
     """
     if N < 1 or not 0 <= k <= n:
-        raise ValueError(f"require N >= 1 and 0 <= k <= n, got N={N}, n={n}, k={k}")
+        raise ParameterError(f"require N >= 1 and 0 <= k <= n, got N={N}, n={n}, k={k}")
     basis_n = monomial_basis(N, n)
     basis_k = monomial_basis(N, k)
     steps = n - k
@@ -85,7 +86,6 @@ def taylor_fiber_matrix(N: int, n: int, k: int) -> RationalMatrix:
 def verify_kernel(N: int, n: int, k: int) -> bool:
     """Kernel of the derivative map == span of small-x_0 monomials == kernel
     of the Taylor map, all as canonical subspaces."""
-    _check_subspace_params(N, n, k)
     ker_phi = kernel_basis(x0_derivative_matrix(N, n, k))
     sub = m_power_subspace(N, n, k)
     ker_taylor = kernel_basis(taylor_fiber_matrix(N, n, k))
@@ -95,7 +95,6 @@ def verify_kernel(N: int, n: int, k: int) -> bool:
 def exact_sequence_check(N: int, n: int, k: int) -> bool:
     """Exactness of 0 -> small-x_0 span -> degree-n forms -> jet fiber -> 0:
     the subspace is exactly the kernel and the dimensions add up."""
-    _check_subspace_params(N, n, k)
     phi = rref(x0_derivative_matrix(N, n, k))
     sub = m_power_subspace(N, n, k)
     return sub.dim + phi.rank == dim_sym(N, n) and subspace_equal(phi.kernel(), sub)
@@ -274,7 +273,7 @@ def verify_jet_representations(
     if not degrees:
         raise ValueError("require at least one (n, k)")
     for n, k in degrees:
-        _check_subspace_params(N, n, k)
+        check_theorem_regime(N, n, k)
     if trials < 1:
         raise ValueError(f"require trials >= 1, got trials={trials}")
     tallies = _equivariance_pass(N, degrees, trials, seed, height)
@@ -310,7 +309,7 @@ def verify_jet_representation(
     restricted away. `verify_jet_representations` runs one pass for several
     triples and hands each its (failures, quotient_ok) as `_tally`.
     """
-    _check_subspace_params(N, n, k)
+    check_theorem_regime(N, n, k)
     if trials < 1:
         raise ValueError(f"require trials >= 1, got trials={trials}")
     if _tally is None:

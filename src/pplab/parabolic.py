@@ -24,7 +24,7 @@ from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .linalg import RationalMatrix
-from .symspace import binomial, dim_sym, monomial_basis
+from .symspace import ParameterError, binomial, check_theorem_regime, dim_sym, monomial_basis
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,7 @@ def _substitution_images(
 def sym_action(g: GroupElement, n: int) -> RationalMatrix:
     """Matrix of the action on degree-n forms (column convention)."""
     if n < 0:
-        raise ValueError("degree must be nonnegative")
+        raise ParameterError("degree must be nonnegative")
     N = g.N
     b_rows, c = _scaled_inverse_rows(g)
     images = _substitution_images(b_rows, N, n)[n]
@@ -342,8 +342,7 @@ def target_rep_action(g: GroupElement, n: int, k: int) -> RationalMatrix:
     """
     if not g.is_parabolic:
         raise ValueError("target action is only defined for line-stabilizer elements")
-    if not 1 <= k < n:
-        raise ValueError(f"require 1 <= k < n, got k={k}, n={n}")
+    check_theorem_regime(g.N, n, k)
     return sym_action(g, k).scale(chi(g, n - k))
 
 

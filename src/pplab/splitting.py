@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .laurent import LaurentMatrix, LaurentPoly, block_components, det_laurent
 from .linalg import Scalar, _eliminate, _frac
-from .symspace import MultiIndex, binomial, monomial_basis
+from .symspace import MultiIndex, binomial, check_corollary_regime, check_jet_regime, monomial_basis
 
 DEFAULT_SAMPLE_POINTS: tuple[Fraction, ...] = (
     Fraction(1),
@@ -146,8 +146,7 @@ def jet_transition_matrix(N: int, n: int, k: int) -> TransitionData:
     so m < 0 only when k > n), and every other entry is 0. T is
     block-diagonal by the tail and lower triangular inside each block.
     """
-    if N < 1 or n < 1 or k < 0:
-        raise ValueError(f"require N >= 1, n >= 1, k >= 0, got N={N}, n={n}, k={k}")
+    check_jet_regime(N, n, k)
     basis = monomial_basis(N, k)
     dim = len(basis)
     entries = [LaurentPoly.zero()] * (dim * dim)
@@ -352,8 +351,7 @@ def jet_splitting_check(
     """(computed, expected) splitting degrees of the order-k jet cocycle
     `data` of the degree-n line bundle: the corollary expects binom(N+k, N)
     copies of degree n-k."""
-    if N < 1 or not 0 <= k < n:
-        raise ValueError(f"require N >= 1 and 0 <= k < n, got N={N}, n={n}, k={k}")
+    check_corollary_regime(N, n, k)
     return splitting_type(data).degrees, (n - k,) * binomial(N + k, N)
 
 

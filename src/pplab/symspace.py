@@ -20,6 +20,13 @@ from .linalg import Scalar, Subspace, _frac
 MultiIndex = tuple[int, ...]
 
 
+class ParameterError(ValueError):
+    """A caller-supplied value pplab refuses: an N, n or k outside the range
+    an object is defined on, or a bad command-line input. Never raised for a
+    value pplab derives itself, so a command line can read it as a usage
+    error and any other ValueError as an internal one."""
+
+
 @lru_cache(maxsize=None)
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient by the multiplicative formula, exact integers
@@ -71,9 +78,9 @@ class MonomialBasis:
 def monomial_basis(N: int, n: int) -> MonomialBasis:
     """All degree-n multi-indices in N+1 variables, descending lexicographic."""
     if N < 1:
-        raise ValueError("need at least two variables (N >= 1)")
+        raise ParameterError("need at least two variables (N >= 1)")
     if n < 0:
-        raise ValueError("degree must be nonnegative")
+        raise ParameterError("degree must be nonnegative")
     monos = tuple(_compositions_desc(n, N + 1))
     basis = MonomialBasis(N + 1, n, monos)
     if len(basis) != binomial(n + N, N):
@@ -90,7 +97,7 @@ def dim_sym(N: int, n: int) -> int:
     against the closed binomial; a mismatch would mean a combinatorics bug.
     """
     if N < 1 or n < 0:
-        raise ValueError("require N >= 1 and n >= 0")
+        raise ParameterError("require N >= 1 and n >= 0")
     by_sum = sum(binomial(i + N - 1, N - 1) for i in range(n + 1))
     closed = binomial(n + N, N)
     if by_sum != closed:
@@ -98,11 +105,22 @@ def dim_sym(N: int, n: int) -> int:
     return closed
 
 
-def _check_subspace_params(N: int, n: int, k: int) -> None:
-    if N < 1:
-        raise ValueError("require N >= 1")
-    if not 1 <= k < n:
-        raise ValueError(f"require 1 <= k < n, got k={k}, n={n}")
+def check_theorem_regime(N: int, n: int, k: int) -> None:
+    """The theorem's regime: the P-representation on the fibre of J^k(O(n))."""
+    if N < 1 or not 1 <= k < n:
+        raise ParameterError(f"require N >= 1 and 1 <= k < n, got N={N}, n={n}, k={k}")
+
+
+def check_jet_regime(N: int, n: int, k: int) -> None:
+    """The regime of the jet cocycle on a line."""
+    if N < 1 or n < 1 or k < 0:
+        raise ParameterError(f"require N >= 1, n >= 1, k >= 0, got N={N}, n={n}, k={k}")
+
+
+def check_corollary_regime(N: int, n: int, k: int) -> None:
+    """The regime of the splitting corollary."""
+    if N < 1 or not 0 <= k < n:
+        raise ParameterError(f"require N >= 1 and 0 <= k < n, got N={N}, n={n}, k={k}")
 
 
 def m_power_subspace(N: int, n: int, k: int) -> Subspace:
@@ -111,7 +129,7 @@ def m_power_subspace(N: int, n: int, k: int) -> Subspace:
     This is the degree-n part of the (k+1)-st power of the hyperplane ideal
     (x_1, ..., x_N) inside the full space of degree-n forms.
     """
-    _check_subspace_params(N, n, k)
+    check_theorem_regime(N, n, k)
     basis = monomial_basis(N, n)
     # Unit vectors in increasing index order are already canonical rows.
     one = Fraction(1)
@@ -128,7 +146,7 @@ def codimension_identity(N: int, n: int, k: int) -> bool:
     binom(k+N, N) in the degree-n forms, three independent ways: stacked sum
     formulas, closed binomials against the constructed subspace, and explicit
     basis enumeration."""
-    _check_subspace_params(N, n, k)
+    check_theorem_regime(N, n, k)
     target = binomial(k + N, N)
 
     # Stacked sums over the x_0 exponent.

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -55,6 +56,65 @@ def test_out_of_range_parameters_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_corollary_refuses_a_bad_triple_before_building_the_cocycle(capsys, monkeypatch):
+    # A huge k outside the corollary's regime must fail at once, not after
+    # building a cocycle of rank binom(N+k, N).
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return jet_transition_matrix(*args)
+
+    monkeypatch.setattr(cli, "jet_transition_matrix", recorded)
+    code, out, err = run(capsys, "verify-corollary", "--N", "1", "--n", "3", "--k", "1000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "0 <= k < n" in err
+    assert calls == []
+
+
+# The options each command declares: exactly the ones its handler reads.
+COMMAND_OPTIONS = {
+    "verify-theorem": "--N --n --k --trials --seed --height --output --out --verbose",
+    "verify-corollary": "--N --n --k --output --out --verbose",
+    "dims": "--N --n --k --output --out",
+    "splitting-type": "--N --n --k --output --out",
+    "export-transition": "--N --n --k --out",
+    "sweep": "--N --n --k --trials --seed --height --output --out",
+}
+OPTION_VALUES = {"--trials": ["1"], "--seed": ["1"], "--height": ["1"], "--output": ["json"], "--verbose": []}
+NOT_READ = [
+    (command, flag)
+    for command, flags in COMMAND_OPTIONS.items()
+    for flag in COMMAND_OPTIONS["verify-theorem"].split()
+    if flag not in flags.split()
+]
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    (commands,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    declared = {
+        name: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, parser in commands.choices.items()
+    }
+    assert declared == {name: set(flags.split()) for name, flags in COMMAND_OPTIONS.items()}
+    assert sum(map(len, declared.values())) == 37
+    assert len(NOT_READ) == 17
+
+
+@pytest.mark.parametrize("command,flag", NOT_READ, ids=[" ".join(pair) for pair in NOT_READ])
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, command, flag):
+    triple = [] if command == "sweep" else ["--N", "1", "--n", "3", "--k", "1"]
+    option = [flag, *OPTION_VALUES[flag]]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *triple, *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -153,15 +213,17 @@ def test_twisted_cocycle_is_a_counterexample(capsys, monkeypatch, command, shift
 
 def test_internal_error_exit_code(capsys, monkeypatch):
     # An exception from inside a check is neither a counterexample (1) nor a
-    # usage error (2).
-    def broken(*args, **kwargs):
-        raise ArithmeticError("planted")
+    # usage error (2). A plain ValueError too: only the library's range
+    # checks raise ParameterError, the ValueError that reads as exit 2.
+    for planted in (ArithmeticError("planted"), ValueError("planted")):
+        def broken(*args, **kwargs):
+            raise planted
 
-    monkeypatch.setattr(cli, "codimension_identity", broken)
-    code, out, err = run(capsys, "dims", "--N", "2", "--n", "4", "--k", "2")
-    assert code == 3
-    assert out == ""
-    assert err == "internal error: ArithmeticError: planted\n"
+        monkeypatch.setattr(cli, "codimension_identity", broken)
+        code, out, err = run(capsys, "dims", "--N", "2", "--n", "4", "--k", "2")
+        assert code == 3
+        assert out == ""
+        assert err == f"internal error: {type(planted).__name__}: planted\n"
 
 
 def test_sweep_triple_count_and_json(capsys):
@@ -206,6 +268,13 @@ def test_env_seed_must_be_integer(capsys, monkeypatch):
     code, _, err = run(capsys, "verify-theorem", "--N", "1", "--n", "2", "--k", "1")
     assert code == 2
     assert "PPLAB_SEED" in err
+
+
+def test_env_seed_is_ignored_by_commands_without_seed(capsys, monkeypatch):
+    monkeypatch.setenv("PPLAB_SEED", "not-a-number")
+    code, out, _ = run(capsys, "dims", "--N", "2", "--n", "4", "--k", "2")
+    assert code == 0
+    assert "overall: PASS" in out
 
 
 def test_export_transition_schema(capsys, tmp_path):

@@ -30,6 +30,7 @@ from pplab.parabolic import (
     target_rep,
 )
 from pplab.symspace import (
+    ParameterError,
     PolyVector,
     binomial,
     dim_sym,
@@ -82,9 +83,9 @@ def test_derivative_matrix_is_surjective_on_grid():
 
 
 def test_derivative_matrix_validates_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         x0_derivative_matrix(1, 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         x0_derivative_matrix(1, 2, 0)
 
 

@@ -20,7 +20,7 @@ from pplab.parabolic import (
     target_rep,
     target_rep_action,
 )
-from pplab.symspace import binomial, m_power_subspace, monomial_basis
+from pplab.symspace import ParameterError, binomial, m_power_subspace, monomial_basis
 
 
 def diag2(a):
@@ -222,9 +222,9 @@ def test_target_rep_dimension():
 
 
 def test_target_rep_action_validates_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         target_rep_action(diag2(2), 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         target_rep_action(diag2(2), 2, 0)
 
 

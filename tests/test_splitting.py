@@ -21,7 +21,7 @@ from pplab.splitting import (
     transition_consistency,
     transition_to_json_dict,
 )
-from pplab.symspace import binomial, monomial_basis
+from pplab.symspace import ParameterError, binomial, monomial_basis
 from test_linalg import _naive_gauss_jordan
 
 
@@ -531,9 +531,9 @@ def test_jet_splitting_check_returns_computed_and_expected():
 
 def test_jet_splitting_check_validates_range():
     data = jet_transition_matrix(1, 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         jet_splitting_check(data, 1, 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         jet_splitting_check(data, 1, 2, -1)
 
 

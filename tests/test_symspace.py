@@ -11,10 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 import pplab
 from pplab.linalg import Subspace
+from pplab.jetmap import taylor_fiber_matrix
+from pplab.parabolic import random_parabolic, sym_action
+from pplab.splitting import jet_transition_matrix
 from pplab.symspace import (
     MonomialBasis,
+    ParameterError,
     PolyVector,
     binomial,
+    check_corollary_regime,
+    check_jet_regime,
+    check_theorem_regime,
     codimension_identity,
     dim_sym,
     m_power_subspace,
@@ -154,10 +161,49 @@ def test_m_power_subspace_is_the_rref_of_its_unit_vectors():
 
 
 def test_m_power_subspace_parameter_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         m_power_subspace(1, 2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         m_power_subspace(1, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "check,inside,outside",
+    [
+        (check_theorem_regime, [(1, 2, 1), (3, 9, 8)], [(0, 2, 1), (1, 2, 0), (1, 2, 2)]),
+        (check_jet_regime, [(1, 1, 0), (2, 2, 4)], [(0, 1, 0), (1, 0, 0), (1, 1, -1)]),
+        (check_corollary_regime, [(1, 1, 0), (2, 5, 4)], [(0, 2, 1), (1, 2, -1), (1, 2, 2)]),
+    ],
+    ids=["theorem", "jet", "corollary"],
+)
+def test_each_regime_is_checked_at_its_edges(check, inside, outside):
+    for triple in inside:
+        check(*triple)
+    for triple in outside:
+        with pytest.raises(ParameterError):
+            check(*triple)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: monomial_basis(0, 2),
+        lambda: monomial_basis(1, -1),
+        lambda: dim_sym(0, 2),
+        lambda: dim_sym(1, -1),
+        lambda: taylor_fiber_matrix(1, 2, 3),
+        lambda: jet_transition_matrix(1, 0, 1),
+        lambda: sym_action(random_parabolic(1, 0), -1),
+    ],
+    ids=["basis N", "basis n", "dim N", "dim n", "taylor k > n", "cocycle n", "action n"],
+)
+def test_range_checks_on_caller_input_raise_parameter_error(call):
+    # A command line reads ParameterError as a usage error (exit 2), so
+    # every range check on N, n or k raises it; for callers of the library
+    # it is exported and stays a ValueError.
+    with pytest.raises(pplab.ParameterError) as exc:
+        call()
+    assert isinstance(exc.value, ValueError)
 
 
 def test_m_power_subspace_is_multiplication_image():
