@@ -9,10 +9,10 @@ deterministic for a fixed configuration and seed; only the elapsed_ms field
 varies between runs.
 
 Each command declares only the options its handler reads (`COMMANDS`), so an
-option it does not read is a usage error. The environment variable
-PPLAB_SEED, when set, overrides --seed on the commands that have it,
-verify-theorem and sweep. The ranges of N, n and k are checked by the
-library, whose ParameterError is a usage error here.
+option it does not read is a usage error, reported with the usage of that
+command. The environment variable PPLAB_SEED, when set, overrides --seed on
+the commands that have it, verify-theorem and sweep. The ranges of N, n and
+k are checked by the library, whose ParameterError is a usage error here.
 """
 
 from __future__ import annotations
@@ -384,13 +384,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for flag, spec in options.items():
             p.add_argument(flag, **spec)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:
+        # What parse_args does, but through the command's own parser, so the
+        # usage line shows the options this command takes.
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     env_seed = os.environ.get("PPLAB_SEED")
     if env_seed is not None and hasattr(args, "seed"):
         try:

@@ -38,31 +38,33 @@ DEFAULT_SAMPLE_POINTS: tuple[Fraction, ...] = (
 )
 
 
-@dataclass(frozen=True)
 class TransitionData:
     """A rank-r Laurent cocycle on the two-chart line, with unit determinant.
 
-    The constructor cuts the matrix once into the connected components of
-    its nonzero pattern (`block_components`). A constant row and column
-    permutation is a gauge, and after one the cocycle is the direct sum of
-    these blocks. `blocks` holds one TransitionData per component, in
-    component order; identical blocks share one object, and that block's
-    own `det_laurent`, which cuts nothing, is the only determinant taken for
-    it; no other code cuts a cocycle. A connected cocycle is its own only
-    block. `det_exponent` is e in det = c * t^e, the first Chern class: the
-    sum of the blocks' exponents. A non-square
-    component, or a block whose determinant is not a unit, raises ValueError.
+    `TransitionData(rank, matrix)` cuts the matrix once into the connected
+    components of its nonzero pattern (`block_components`). A constant row
+    and column permutation is a gauge, and after one the cocycle is the
+    direct sum of these blocks. `blocks` holds one TransitionData per
+    component, in component order; identical blocks share one object, and
+    that block's own `det_laurent`, which cuts nothing, is the only
+    determinant taken for it. A connected cocycle is its own only block.
+    `det_exponent` is e in det = c * t^e, the first Chern class: the sum of
+    the blocks' exponents. A non-square component, or a block whose
+    determinant is not a unit, raises ValueError.
+
+    `jet_transition_matrix` knows its blocks before any matrix exists. It
+    builds each distinct block through this constructor, which may cut it
+    further, and places it with `_from_blocks`. Such a cocycle never cuts
+    its whole matrix, and its dense `matrix` is a view, written from the
+    blocks on first access.
     """
 
-    rank: int
-    matrix: LaurentMatrix
-
-    def __post_init__(self) -> None:
-        if self.matrix.rows != self.rank or self.matrix.cols != self.rank:
+    def __init__(self, rank: int, matrix: LaurentMatrix) -> None:
+        if matrix.rows != rank or matrix.cols != rank:
             raise ValueError("matrix shape does not match the rank")
-        components = block_components(self.matrix)
+        components = block_components(matrix)
         if len(components) == 1:
-            unit = det_laurent(self.matrix).monomial_parts()
+            unit = det_laurent(matrix).monomial_parts()
             if unit is None or unit[0] == 0:
                 raise ValueError("transition determinant is not a unit (c * t^e)")
             blocks, exponent = None, unit[1]
@@ -73,15 +75,43 @@ class TransitionData:
             shared: dict[LaurentMatrix, TransitionData] = {}
             parts: list[TransitionData] = []
             for rows, cols in components:
-                block = self.matrix.submatrix(rows, cols)
+                block = matrix.submatrix(rows, cols)
                 if block not in shared:
                     shared[block] = TransitionData(len(rows), block)
                 parts.append(shared[block])
             blocks = tuple(parts)
             exponent = sum(block.det_exponent for block in blocks)
+        self.rank = rank
+        self.matrix = matrix
         # A connected cocycle stores no blocks, so it holds no reference to itself.
-        object.__setattr__(self, "_blocks", blocks)
-        object.__setattr__(self, "det_exponent", exponent)
+        self._blocks = blocks
+        self.det_exponent = exponent
+
+    @classmethod
+    def _from_blocks(
+        cls, rank: int, placed: Sequence[tuple[TransitionData, Sequence[int]]]
+    ) -> TransitionData:
+        """The direct sum of diagonal blocks: each (block, indices) puts the
+        block's rows and columns at those indices of the whole. Its blocks
+        are the placed blocks' own, in placement order: with multiplicity,
+        the blocks that cutting its `matrix` would give."""
+        data = cls.__new__(cls)
+        data.rank = rank
+        data._placed = placed
+        data._blocks = tuple(part for block, _ in placed for part in block.blocks)
+        data.det_exponent = sum(block.det_exponent for block, _ in placed)
+        return data
+
+    @cached_property
+    def matrix(self) -> LaurentMatrix:
+        """The dense matrix of a block-built cocycle, written on first
+        access; the constructor stores the matrix it is given instead."""
+        entries = [LaurentPoly.zero()] * (self.rank * self.rank)
+        for block, indices in self._placed:
+            for i, row in enumerate(indices):
+                for j, col in enumerate(indices):
+                    entries[row * self.rank + col] = block.matrix.entry(i, j)
+        return LaurentMatrix(self.rank, self.rank, tuple(entries))
 
     @property
     def blocks(self) -> tuple[TransitionData, ...]:
@@ -124,6 +154,19 @@ def _series_binomial(m: int, j: int) -> int:
     return (-1) ** j * binomial(j - m - 1, j)
 
 
+def _line_block(n: int, k: int) -> LaurentMatrix:
+    """The N = 1 jet cocycle of degree n and order k, indexed by the s_1
+    exponent: entry (a, b) is (-1)^b C(m, a - b) t^(m - a) with m = n - b
+    for a >= b, and 0 above the diagonal."""
+    size = k + 1
+    entries = [LaurentPoly.zero()] * (size * size)
+    for b in range(size):
+        m = n - b
+        for a in range(b, size):
+            entries[a * size + b] = LaurentPoly.t_pow(m - a, (-1) ** b * _series_binomial(m, a - b))
+    return LaurentMatrix(size, size, tuple(entries))
+
+
 def jet_transition_matrix(N: int, n: int, k: int) -> TransitionData:
     """Order-k jet cocycle of the degree-n line bundle along the line.
 
@@ -144,20 +187,27 @@ def jet_transition_matrix(N: int, n: int, k: int) -> TransitionData:
 
     with C the binomial-series coefficient (`_series_binomial`; m >= n - k,
     so m < 0 only when k > n), and every other entry is 0. T is
-    block-diagonal by the tail and lower triangular inside each block.
+    block-diagonal by the tail, and the block of tail degree d is the N = 1
+    cocycle of degree n - d and order k - d (`_line_block`), lower
+    triangular. So T has at most k + 1 distinct blocks: each is built once,
+    through the `TransitionData` constructor, which takes its determinant
+    and cuts it further where it falls apart (k > n makes C(m, j) = 0 for
+    0 <= m < j). The blocks are placed at the indices of their jets in
+    `monomial_basis(N, k)`, and the dense matrix is written only when read.
     """
     check_jet_regime(N, n, k)
     basis = monomial_basis(N, k)
-    dim = len(basis)
-    entries = [LaurentPoly.zero()] * (dim * dim)
-    for col, (_, b, *tail) in enumerate(basis):
-        tail_degree = sum(tail)
-        m = n - tail_degree - b
-        for a in range(b, k - tail_degree + 1):
-            coeff = (-1) ** b * _series_binomial(m, a - b)
-            row = basis.index_of((k - tail_degree - a, a, *tail))
-            entries[row * dim + col] = LaurentPoly.t_pow(m - a, coeff)
-    return TransitionData(dim, LaurentMatrix(dim, dim, tuple(entries)))
+    blocks: dict[int, TransitionData] = {}
+    placed: list[tuple[TransitionData, list[int]]] = []
+    for x0, a, *tail in basis:
+        if a:
+            continue
+        # (k - d, 0, tail) is the first jet of each tail of degree d = k - x0.
+        d = k - x0
+        if d not in blocks:
+            blocks[d] = TransitionData(x0 + 1, _line_block(n - d, x0))
+        placed.append((blocks[d], [basis.index_of((x0 - i, i, *tail)) for i in range(x0 + 1)]))
+    return TransitionData._from_blocks(len(basis), placed)
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,22 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, command, f
     with pytest.raises(SystemExit) as exc:
         cli.main([command, *triple, *option])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: pplab {command} ")
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+
+
+def test_an_unread_option_shows_the_usage_of_its_command(capsys):
+    # The message names the options dims takes, not the list of commands.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dims", "--N", "1", "--n", "2", "--k", "1", "--seed", "1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, message = err.split("\npplab dims: error: ")
+    assert usage.startswith("usage: pplab dims ")
+    assert "--output" in usage and "verify-theorem" not in usage
+    assert message == "unrecognized arguments: --seed 1\n"
 
 
 def test_unknown_command_is_usage_error(capsys):

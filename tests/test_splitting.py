@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -388,8 +391,11 @@ def test_splitting_type_takes_each_determinant_once(monkeypatch):
 
 
 def test_transition_data_cuts_the_cocycle_once(monkeypatch):
-    # One cut of the whole matrix, then one per distinct block, which is its
-    # own connected TransitionData; det_laurent cuts nothing again.
+    # A handed matrix is cut once, then each distinct block once, as its own
+    # connected TransitionData; det_laurent cuts nothing again.
+    # jet_transition_matrix hands the constructor only its distinct tail
+    # blocks, so each is cut once, and the whole cocycle never, not even when
+    # its view is read.
     rng = random.Random(77)
     parts = [gauged(rng, [2, -1]), gauged(rng, [0, 0, 3])]
     calls = []
@@ -406,7 +412,9 @@ def test_transition_data_cuts_the_cocycle_once(monkeypatch):
     jet = jet_transition_matrix(3, 5, 3)
     distinct = {id(block) for block in jet.blocks}
     assert len(distinct) == 4 and len(jet.blocks) == 10
-    assert len(calls) == 1 + len(distinct)
+    assert calls == [4, 3, 2, 1]
+    assert jet.matrix.rows == jet.rank == 20
+    assert calls == [4, 3, 2, 1]
     assert summed.det_exponent == 5
 
 
@@ -459,6 +467,48 @@ def test_jet_section_count_is_sum_over_blocks(N, n, k):
     for m in range(k - n - 2, k - n + 4):
         whole = _section_space_dim(data, m, bound)
         assert whole == sum(_section_space_dim(p, m, bound) for p in parts)
+
+
+# k > n in each N, so some tail blocks fall apart and some do not.
+VIEW_CASES = [(N, n, k) for N in (1, 2, 3) for n in (1, 2, 4) for k in (0, 1, 3, 5)]
+
+
+@pytest.mark.parametrize("N,n,k", VIEW_CASES)
+def test_cutting_the_dense_view_gives_the_placed_blocks(N, n, k):
+    # jet_transition_matrix never cuts the whole cocycle; cutting its dense
+    # view must give the blocks it placed, as matrices and with multiplicity.
+    data = jet_transition_matrix(N, n, k)
+    cut = Counter(data.matrix.submatrix(rows, cols) for rows, cols in block_components(data.matrix))
+    assert cut == Counter(block.matrix for block in data.blocks)
+    assert data.matrix is data.matrix
+    assert det_laurent(data.matrix).monomial_parts()[1] == data.det_exponent
+
+
+def test_a_tail_block_falls_apart_when_k_exceeds_n():
+    # In the one block of (1, 1, 3), C(m, j) = 0 for 0 <= m < j leaves no
+    # entry between jets 0-1 and jets 2-3, so the constructor cuts it in two.
+    data = jet_transition_matrix(1, 1, 3)
+    assert len(data.blocks) == 2
+    assert [block.rank for block in data.blocks] == [2, 2]
+    assert splitting_type(data).degrees == (0, 0, -4, -4)
+
+
+def test_jet_cocycles_keep_their_golden_digest():
+    # Pins every entry of the dense view, k > n included: the SHA-256 of the
+    # JSON export of 306 cocycles, as the dense construction wrote them.
+    triples = [
+        (N, n, k)
+        for N in range(1, 5)
+        for n in range(1, 10)
+        for k in range(10)
+        if binomial(N + k, N) <= 130
+    ]
+    assert len(triples) == 306 and any(k > n for _, n, k in triples)
+    digest = hashlib.sha256()
+    for N, n, k in triples:
+        export = transition_to_json_dict(jet_transition_matrix(N, n, k))
+        digest.update(json.dumps([N, n, k, export]).encode())
+    assert digest.hexdigest() == "f2a7fe80eb12a8611317a2bf03f9582a9f37395984e1c5f032c468abc643f58e"
 
 
 def test_integer_sparse_rank_matches_rational_elimination(monkeypatch):
