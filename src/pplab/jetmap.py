@@ -136,15 +136,15 @@ def _trial_elements(
     at a time.
 
     Draws `trials` elements with `_parabolic_from_rng` from
-    random.Random(seed) and yields for each its corner scalar a and the
-    integer rows B and clearing denominator c of its inverse, g^-1 = B / c,
-    which the draw derives in integers. Every draw's B and c come through
-    `_scaled_inverse_rows`, which checks them exactly (det g = 1 and
-    G B = d c I in integers), so a fault in the draw raises ArithmeticError
-    instead of failing the trials as if it were a counterexample. The first
-    element is also built as a `GroupElement`, which checks its determinant
-    and shape on the rational matrix, and its B / c is compared with its
-    inverse by `RationalMatrix.inverse`.
+    random.Random(seed). Each draw is the inverse h = g^-1 of its element,
+    and yields g's corner scalar a = 1/b and the integer rows B and clearing
+    denominator c of h, g^-1 = B / c. Every draw's B and c come through
+    `_scaled_inverse_rows`, which checks det g = 1 exactly in integers, so a
+    fault in the draw raises ArithmeticError instead of failing the trials
+    as if it were a counterexample. The first element is also built as a
+    `GroupElement`, the inverse of the rational h by
+    `RationalMatrix.inverse`, which checks its determinant, shape and corner
+    a; its B / c is compared with its inverse by `RationalMatrix.inverse`.
     """
     rng = random.Random(seed)
     for trial in range(trials):
@@ -155,7 +155,7 @@ def _trial_elements(
             drawn_inverse = RationalMatrix.from_rows(b_rows).scale(Fraction(1, c))
             if drawn_inverse != g.mat.inverse():
                 raise ArithmeticError("a drawn element's inverse disagrees with elimination")
-        yield draw.a, b_rows, c
+        yield 1 / draw.b, b_rows, c
 
 
 def _trial_checks(

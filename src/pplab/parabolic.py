@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .linalg import RationalMatrix
@@ -75,72 +74,57 @@ class GroupElement:
 
 
 class Draw(NamedTuple):
-    """One stabilizer element as `_parabolic_from_rng` draws it, in integers.
+    """One stabilizer element g as `_parabolic_from_rng` draws it: by its
+    inverse h = g^-1, in integers.
 
-    The element is g = [[a, s], [0, S E]] with corner a = u / v in lowest
-    terms (one of |u|, v is 1), integer stars s, integer block E and S the
-    scaling of row `scaled` of E by 1/a. inverse_rows and c are its inverse
-    cleared to integer rows, g^-1 = inverse_rows / c, as the draw derives
-    them; `_scaled_inverse_rows` checks them before handing them out.
+    h = [[b, s], [0, S E]] with corner b = u / v in lowest terms (one of |u|,
+    v is 1), integer stars s, integer block E of determinant 1 and S the
+    scaling of row `scaled` of E by 1/b. The trials read h, as the
+    substitution x_i -> row_i(h), and g's corner a = 1/b.
     """
 
-    a: Fraction
+    b: Fraction
     stars: tuple[int, ...]
     block: tuple[tuple[int, ...], ...]
     scaled: int
-    inverse_rows: tuple[tuple[int, ...], ...]
-    c: int
 
     @property
     def clearing(self) -> int:
-        """d = |u| v: d g and d g^-1 both have integer entries."""
-        return abs(self.a.numerator) * self.a.denominator
+        """d = |u| v, the lcm of the denominators of h: the corner b has
+        denominator v, and row `scaled` of the block is a row of E, whose
+        entries have gcd 1, times v / u."""
+        return abs(self.b.numerator) * self.b.denominator
 
-    def cleared_rows(self) -> list[list[int]]:
-        """The integer rows of G = d g, d = `clearing`; row `scaled` of the
-        block is E's row times d / a."""
-        d, u, v = self.clearing, self.a.numerator, self.a.denominator
-        rows = [[d * u // v] + [d * s for s in self.stars]]
+    def cleared_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The integer rows of B = d h, d = `clearing`; row `scaled` of the
+        block is E's row times d / b."""
+        d, u, v = self.clearing, self.b.numerator, self.b.denominator
+        rows = [(d * u // v, *(d * s for s in self.stars))]
         for i, row in enumerate(self.block):
-            rows.append([0] + [x * (d * v // u if i == self.scaled else d) for x in row])
-        return rows
+            rows.append((0, *(x * (d * v // u if i == self.scaled else d) for x in row)))
+        return tuple(rows)
 
 
 def _parabolic_from_rng(N: int, rng: random.Random, height: int) -> Draw:
-    """Draw one stabilizer element with bounded integer data.
+    """Draw one stabilizer element with bounded integer data, by its inverse.
 
-    The corner entry a is a nonzero integer of magnitude at most height, or
+    P is a group, so drawing h = g^-1 samples it as well as drawing g. The
+    corner entry b of h is a nonzero integer of magnitude at most height, or
     the reciprocal of one. The lower-right block starts from the identity,
     gets shuffled by determinant-1 integer row operations, and then has one
-    row scaled by 1/a so the total determinant is exactly 1.
+    row scaled by 1/b so the total determinant is exactly 1.
 
-    Everything is drawn and derived in integers, with a = u / v. With E the
-    product of the row operations and s the first row's tail,
-    g = [[a, s], [0, S E]] where S scales the chosen row by 1/a, so the
-    block's inverse E^-1 S^-1 is the identity under the inverse row
-    operations in reverse order, with the chosen column scaled by a, and
-    g^-1 = [[1/a, -s (S E)^-1 / a], [0, (S E)^-1]].
-
-    Clearing is exact in integers. Every entry of g^-1 times d = |u| v is
-    an integer: the corner 1/a and the head outside the chosen column are
-    integer multiples of 1/a, and d / a = sign(u) v^2; the head's entry in
-    the chosen column is an integer, and the block's chosen column is a
-    times an integer column, and d a = sign(u) u^2. No smaller integer
-    clears it, so d is the lcm of the denominators: when v = 1 the corner
-    1/a has denominator |u| = d, and when |u| = 1 the chosen column of the
-    block is a column of the unimodular E^-1, whose entries have gcd 1,
-    divided by +-v. So the draw returns B = d g^-1 and c = d, in a `Draw`;
-    `_scaled_inverse_rows` checks them, and `_group_element` builds the
-    rational g.
+    Nothing is computed after the last random call: `_scaled_inverse_rows`
+    checks the draw and clears h to integers, and `_group_element` builds
+    the rational g.
     """
     if height < 1:
         raise ValueError("height must be at least 1")
     mag = rng.randint(1, height)
     sign = rng.choice((1, -1))
-    u, v = (sign * mag, 1) if rng.random() < 0.5 else (sign, mag)
+    b = Fraction(sign * mag) if rng.random() < 0.5 else Fraction(sign, mag)
     stars = tuple(rng.randint(-height, height) for _ in range(N))
     block = [[int(i == j) for j in range(N)] for i in range(N)]
-    ops = []
     if N >= 2:
         for _ in range(2 * N):
             i = rng.randrange(N)
@@ -149,35 +133,22 @@ def _parabolic_from_rng(N: int, rng: random.Random, height: int) -> Draw:
                 j = rng.randrange(N)
             c = rng.randint(-height, height)
             block[i] = [x + c * y for x, y in zip(block[i], block[j])]
-            ops.append((i, j, c))
-    scaled = rng.randrange(N)
-
-    undo = [[int(i == j) for j in range(N)] for i in range(N)]
-    for i, j, c in reversed(ops):
-        undo[i] = [x - c * y for x, y in zip(undo[i], undo[j])]
-    d = mag
-    over_a, times_a = d * v // u, d * u // v
-    col_scale = [times_a if j == scaled else d for j in range(N)]
-    head_scale = [d if j == scaled else over_a for j in range(N)]
-    head = [-sum(s * row[j] for s, row in zip(stars, undo)) * head_scale[j] for j in range(N)]
-    b_rows = ((over_a, *head),) + tuple(
-        (0, *(x * f for x, f in zip(row, col_scale))) for row in undo
-    )
-    return Draw(Fraction(u, v), stars, tuple(map(tuple, block)), scaled, b_rows, d)
+    return Draw(b, stars, tuple(map(tuple, block)), rng.randrange(N))
 
 
 def _group_element(draw: Draw) -> GroupElement:
-    """The rational `GroupElement` of a draw, which checks its determinant
-    and shape."""
-    a = draw.a
-    rows = [[a] + [Fraction(s) for s in draw.stars]]
+    """The rational g = h^-1 of a draw, by `RationalMatrix.inverse`, as a
+    `GroupElement`, which checks its determinant, its shape and its corner
+    a = 1/b."""
+    b = draw.b
+    rows = [[b, *draw.stars]]
     for i, row in enumerate(draw.block):
-        rows.append([Fraction(0)] + [x / a if i == draw.scaled else Fraction(x) for x in row])
-    return GroupElement(RationalMatrix.from_rows(rows), a)
+        rows.append([0] + [x / b if i == draw.scaled else x for x in row])
+    return GroupElement(RationalMatrix.from_rows(rows).inverse(), 1 / b)
 
 
 def random_parabolic(N: int, seed: int, height: int = 3) -> GroupElement:
-    """Seed-deterministic random stabilizer element."""
+    """Seed-deterministic random stabilizer element, drawn by its inverse."""
     return _group_element(_parabolic_from_rng(N, random.Random(seed), height))
 
 
@@ -199,13 +170,11 @@ def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...],
 def _scaled_inverse_rows(g: GroupElement | Draw) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Rows of g^-1 cleared to integers: returns (rows, c) with g^-1 = rows / c.
 
-    A `Draw` brings them, and they are checked exactly, in integers, before
-    they are returned, so a fault in the draw raises ArithmeticError:
-
-    * det g = det E = 1, by `RationalMatrix.det` on the integer block E
-      (the corner a and the row scaled by 1/a cancel);
-    * G B = d c I, where G = d g is g cleared by d = |u| v
-      (`Draw.cleared_rows`), so B / c is the inverse of g.
+    A `Draw` is g^-1 = h itself, so its rows are `Draw.cleared_rows` and c
+    is `Draw.clearing`. It is checked exactly before they are returned, so a
+    fault in the draw raises ArithmeticError: det g = det E = 1, by
+    `RationalMatrix.det` on the integer block E (the corner b and the row
+    scaled by 1/b cancel).
 
     Any other element is inverted by `RationalMatrix.inverse`.
     """
@@ -215,14 +184,7 @@ def _scaled_inverse_rows(g: GroupElement | Draw) -> tuple[tuple[tuple[int, ...],
     det = RationalMatrix.from_rows(g.block).det()
     if det != 1:
         raise ArithmeticError(f"a drawn element has determinant {det}, not 1")
-    b_rows, c = g.inverse_rows, g.c
-    dc = g.clearing * c
-    columns = list(zip(*b_rows))
-    for i, row in enumerate(g.cleared_rows()):
-        for j, col in enumerate(columns):
-            if sum(map(mul, row, col)) != (dc if i == j else 0):
-                raise ArithmeticError("a drawn element's B / c is not its inverse")
-    return b_rows, c
+    return g.cleared_rows(), g.clearing
 
 
 @lru_cache(maxsize=None)

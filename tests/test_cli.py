@@ -519,12 +519,11 @@ def test_sweep_expands_each_element_once_per_n(capsys, monkeypatch):
     assert calls == [1] * 3 + [2] * 3 + [3] * 3
 
 
-@pytest.fixture(params=["inverse", "determinant"])
+@pytest.fixture(params=["determinant"])
 def faulty_later_draw(monkeypatch, request):
     # A fault in the integer draw that shows only on draw 2 of a pass, after
-    # the first draw's Gauss-Jordan comparison: one entry of the cleared
-    # inverse B off by one, or a block E of determinant 2 (with B left as
-    # it was). Both must surface as internal errors, not as failed trials.
+    # the first draw's Gauss-Jordan comparison: a block E of determinant 2.
+    # It must surface as an internal error, not as failed trials.
     draw = parabolic._parabolic_from_rng
     count = [0]
 
@@ -533,9 +532,6 @@ def faulty_later_draw(monkeypatch, request):
         count[0] += 1
         if count[0] != 3:
             return result
-        if request.param == "inverse":
-            rows = result.inverse_rows
-            return result._replace(inverse_rows=((rows[0][0] + 1,) + rows[0][1:],) + rows[1:])
         block = result.block
         return result._replace(block=(tuple(2 * x for x in block[0]),) + block[1:])
 
@@ -589,11 +585,36 @@ def report_digest(capsys, *argv):
             ["splitting-type", "--N", "2", "--n", "2", "--k", "4"],
             "292113e9d96a26b07c40023fc4c7087cc75b6c5cc7c6dbda67d2b78a3ab417c2",
         ),
+        (
+            ["dims", "--N", "3", "--n", "8", "--k", "5"],
+            "d70324cf1f34c66bba0b1273f30253f7bb1f6e919a05a7c0dec5bf14109adc31",
+        ),
     ],
-    ids=["sweep", "verify-theorem", "verify-corollary", "splitting-type"],
+    ids=["sweep", "verify-theorem", "verify-corollary", "splitting-type", "dims"],
 )
 def test_default_reports_keep_their_golden_digest(capsys, argv, digest):
     # Pins every verdict, count and field of these reports: a change that
-    # alters the elements drawn, the trial verdicts, the cocycle, its
-    # splitting degrees or the layout of the JSON changes the digest.
+    # alters the trial verdicts, the cocycle, its splitting degrees, the
+    # dimensions or the layout of the JSON changes the digest. A passing
+    # report holds only counts, not the elements it drew; those are pinned
+    # by test_the_golden_sweep_draws_its_pinned_elements.
     assert report_digest(capsys, *argv) == digest
+
+
+def test_export_transition_keeps_its_golden_digest(capsys):
+    # Pins every entry of an exported cocycle and the layout of its JSON.
+    code, out, _ = run(capsys, "export-transition", "--N", "3", "--n", "5", "--k", "3")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "57afb4fb4e8129b6fc8440d587f0d48b50b4a26d342403fe04fce5dc9b50d2ac"
+
+
+def test_the_golden_sweep_draws_its_pinned_elements():
+    # The 300 elements of the golden sweep (seed 3, 100 trials, height 3,
+    # N 1-3), as (a, B, c) each: a change to the draw changes the digest
+    # even where every trial still passes.
+    digest = hashlib.sha256()
+    for N in (1, 2, 3):
+        for a, b_rows, c in jetmap._trial_elements(N, 100, 3, 3):
+            digest.update(repr((N, a.numerator, a.denominator, b_rows, c)).encode())
+    assert digest.hexdigest() == "9b3d53f4a6a1dedf7eecf34ade10be9f159487b0775afe3bc9feddee70fe7eb9"

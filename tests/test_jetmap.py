@@ -284,7 +284,7 @@ def seeded_draws(N, trials, seed, height):
     draws = []
     for _ in range(trials):
         draw = _parabolic_from_rng(N, rng, height)
-        draws.append((draw.a, *_scaled_inverse_rows(draw)))
+        draws.append((1 / draw.b, *_scaled_inverse_rows(draw)))
     return draws
 
 

@@ -115,16 +115,14 @@ def test_inverse_from_the_draw_is_the_cleared_inverse():
 
 
 def fraction_draw(N, rng, height):
-    # Reference for the integer draw: the rational draw it replaced, with the
-    # same random calls in the same order. Builds g and its inverse in
-    # Fractions and clears the inverse by the lcm of its denominators.
-    # Returns (a, B, c, rows of g) with g^-1 = B / c.
+    # Reference for the integer draw: the element's inverse h built in
+    # Fractions from the same random calls in the same order. Returns the
+    # rows of h.
     mag = rng.randint(1, height)
     sign = rng.choice((1, -1))
-    a = Fraction(sign * mag) if rng.random() < 0.5 else Fraction(sign, mag)
+    b = Fraction(sign * mag) if rng.random() < 0.5 else Fraction(sign, mag)
     stars = [rng.randint(-height, height) for _ in range(N)]
     block = [[int(i == j) for j in range(N)] for i in range(N)]
-    ops = []
     if N >= 2:
         for _ in range(2 * N):
             i = rng.randrange(N)
@@ -133,35 +131,31 @@ def fraction_draw(N, rng, height):
                 j = rng.randrange(N)
             c = rng.randint(-height, height)
             block[i] = [x + c * y for x, y in zip(block[i], block[j])]
-            ops.append((i, j, c))
     scaled = rng.randrange(N)
-    rows = [[a] + [Fraction(s) for s in stars]]
+    rows = [[b] + [Fraction(s) for s in stars]]
     for i in range(N):
-        rows.append([Fraction(0)] + [x / a if i == scaled else Fraction(x) for x in block[i]])
-    undo = [[int(i == j) for j in range(N)] for i in range(N)]
-    for i, j, c in reversed(ops):
-        undo[i] = [x - c * y for x, y in zip(undo[i], undo[j])]
-    block_inv = [[x * a if j == scaled else Fraction(x) for j, x in enumerate(row)] for row in undo]
-    head = [-sum(s * row[j] for s, row in zip(stars, block_inv)) / a for j in range(N)]
-    inverse = [[1 / a] + head] + [[Fraction(0)] + row for row in block_inv]
-    c = lcm(*(x.denominator for row in inverse for x in row))
-    return a, tuple(tuple(int(x * c) for x in row) for row in inverse), c, rows
+        rows.append([Fraction(0)] + [x / b if i == scaled else Fraction(x) for x in block[i]])
+    return rows
 
 
 def test_integer_draw_equals_the_fraction_draw():
-    # Same (a, B, c) as the rational reference, the same element, and the
-    # same generator state afterwards, which every later draw depends on.
+    # (a, B, c) is (1/h00, h cleared by the lcm of its denominators, that
+    # lcm) for the rational reference h, the element is the inverse of h,
+    # and the generator state afterwards, which every later draw depends on,
+    # is the same.
     for N in range(1, 6):
         for height in range(1, 6):
             for seed in range(40):
                 rng, ref_rng = random.Random(seed), random.Random(seed)
                 draw = _parabolic_from_rng(N, rng, height)
-                a, b_rows, c, rows = fraction_draw(N, ref_rng, height)
-                assert (draw.a, draw.inverse_rows, draw.c) == (a, b_rows, c), (N, height, seed)
+                rows = fraction_draw(N, ref_rng, height)
                 assert rng.getstate() == ref_rng.getstate(), (N, height, seed)
-                assert _group_element(draw).mat == RationalMatrix.from_rows(rows)
-                d = draw.clearing
-                assert draw.cleared_rows() == [[d * x for x in row] for row in rows]
+                c = lcm(*(x.denominator for row in rows for x in row))
+                b_rows = tuple(tuple(int(x * c) for x in row) for row in rows)
+                element = (1 / draw.b, *_scaled_inverse_rows(draw))
+                assert element == (1 / rows[0][0], b_rows, c), (N, height, seed)
+                h = RationalMatrix.from_rows(rows)
+                assert _group_element(draw).mat == h.inverse(), (N, height, seed)
 
 
 def test_truncated_substitution_images_are_restrictions():
