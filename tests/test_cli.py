@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -557,13 +558,14 @@ def test_a_fault_in_a_later_draw_is_an_internal_error(capsys, faulty_later_draw,
 
 
 def report_digest(capsys, *argv):
-    # The SHA-256 of the JSON report as the CLI lays it out, less the
-    # elapsed time, the one field that varies between runs.
+    # The SHA-256 of the bytes the CLI writes for the JSON report, less the
+    # line of the elapsed time, the one field that varies between runs.
     code, out, _ = run(capsys, *argv, "--output", "json")
     assert code == 0
-    report = json.loads(out)
-    report.pop("elapsed_ms")
-    return hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+    lines = out.splitlines(keepends=True)
+    steady = [line for line in lines if '"elapsed_ms"' not in line]
+    assert len(lines) - len(steady) == 1
+    return hashlib.sha256("".join(steady).encode()).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -571,23 +573,23 @@ def report_digest(capsys, *argv):
     [
         (
             ["sweep", "--seed", "3"],
-            "59f034dee7914c5c69f54a6c45cd6b6a772886907d714337ba5f5bf004c147a6",
+            "7db5a5f7c303d81bfa450b083e5e54b548568515f442e8812ec37349ab55602b",
         ),
         (
             ["verify-theorem", "--N", "3", "--n", "6", "--k", "3", "--seed", "3", "--verbose"],
-            "23c6bcc208e6a83f8fb015a09b72efaef8d0475e42768dad8f39ea42d787f773",
+            "bf92f4e27c2891ad3728d4fcda0198979de52187ff524150567f65beac077f15",
         ),
         (
             ["verify-corollary", "--N", "4", "--n", "7", "--k", "5", "--verbose"],
-            "ecf746963b027ffd292791f3d0ab9ca39dddab7a16365e123442b82249dfa53b",
+            "3dc12b3a514a924ddf9084408ca03528fdcdc37de4a3d652fff707a15a2b02a2",
         ),
         (
             ["splitting-type", "--N", "2", "--n", "2", "--k", "4"],
-            "292113e9d96a26b07c40023fc4c7087cc75b6c5cc7c6dbda67d2b78a3ab417c2",
+            "e2f2ecf8c7ed059275507525c36bc2404bac73bc9c9474ddb79f6684cd495869",
         ),
         (
             ["dims", "--N", "3", "--n", "8", "--k", "5"],
-            "d70324cf1f34c66bba0b1273f30253f7bb1f6e919a05a7c0dec5bf14109adc31",
+            "0bf508de2d6f4491802ee4b258407dd3baa6acf8bb2f551e0e51dd087f298537",
         ),
     ],
     ids=["sweep", "verify-theorem", "verify-corollary", "splitting-type", "dims"],
@@ -599,6 +601,42 @@ def test_default_reports_keep_their_golden_digest(capsys, argv, digest):
     # report holds only counts, not the elements it drew; those are pinned
     # by test_the_golden_sweep_draws_its_pinned_elements.
     assert report_digest(capsys, *argv) == digest
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["verify-theorem", "--N", "3", "--n", "6", "--k", "3", "--seed", "3"],
+            "15efe7530bd121fe886e9c6746c91cd081781c904ca532a5b3b924e1d1f0c068",
+        ),
+        (
+            ["verify-corollary", "--N", "4", "--n", "7", "--k", "5"],
+            "a0027935c19bb4bf94744f75a6454346f90ab31df4c57cc0d7df265602c76267",
+        ),
+        (
+            ["dims", "--N", "3", "--n", "8", "--k", "5"],
+            "df6e30854b3fc5c654a03597b44399403119c0ca2ee9f2019edae8e0c3686a53",
+        ),
+        (
+            ["splitting-type", "--N", "2", "--n", "2", "--k", "4"],
+            "f6f0abfffb980c7188e70d13d66ffa42d1a1a3c0dc87a9a48d75ab0fc80e77b9",
+        ),
+        (
+            ["sweep", "--seed", "3"],
+            "4c38941b33a427218c8090b9f644effb8b658a2cf9c6b33dc783c4d7c692a2b7",
+        ),
+    ],
+    ids=["verify-theorem", "verify-corollary", "dims", "splitting-type", "sweep"],
+)
+def test_default_text_reports_keep_their_golden_digest(capsys, argv, digest):
+    # Pins the text layout byte for byte; only the time in the last line of
+    # a sweep varies between runs, so it is masked.
+    code, out, _ = run(capsys, *argv, "--output", "text")
+    assert code == 0
+    steady, masked = re.subn(r"triples, \d+ ms\)\n\Z", "triples, X ms)\n", out)
+    assert masked == (argv[0] == "sweep")
+    assert hashlib.sha256(steady.encode()).hexdigest() == digest
 
 
 def test_export_transition_keeps_its_golden_digest(capsys):
