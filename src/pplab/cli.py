@@ -4,9 +4,13 @@ reports, and a CI-friendly exit-code contract.
 Exit codes: 0 when every requested check passes, 1 when a mathematical
 counterexample is found, 2 on usage or parameter errors, 3 on an internal
 error (any other exception; one `internal error:` line on stderr, no
-traceback), so that a crash never reads as a counterexample. Reports are
-deterministic for a fixed configuration and seed; only the elapsed_ms field
-varies between runs.
+traceback), so that a crash never reads as a counterexample.
+
+Every report is laid out by `_report`: schema, tool_version, config (the
+command and the checked options it declares, `_CHECKED`), the command's
+fields, and elapsed_ms last. `_finish` writes it as JSON or text and turns
+its overall_pass into the exit code. Reports are deterministic for a fixed
+configuration and seed; only the elapsed_ms field varies between runs.
 
 Each command declares only the options its handler reads (`COMMANDS`), so an
 option it does not read is a usage error, reported with the usage of that
@@ -53,8 +57,9 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-DEFAULT_SWEEP_N = (1, 2, 3)
-DEFAULT_SWEEP_DEGREES = (2, 3, 4, 5)
+# The options a report's config records, in this order, where the command
+# declares them.
+_CHECKED = ("N", "n", "k", "trials", "seed", "height")
 
 
 def _theorem_result(report: JetRepReport) -> dict:
@@ -79,11 +84,19 @@ def _splitting_result(data: TransitionData, N: int, n: int, k: int) -> dict:
     }
 
 
-def _report_skeleton(command: str, config: dict) -> dict:
+def _config(args: argparse.Namespace) -> dict:
+    return {name: getattr(args, name) for name in _CHECKED if hasattr(args, name)}
+
+
+def _report(command: str, config: dict, start: float, **fields) -> dict:
+    """Lay out a report: schema, tool version, config, the command's fields
+    in the order given, and the time since start last."""
     return {
         "schema": 1,
         "tool_version": __version__,
         "config": {"command": command, **config},
+        **fields,
+        "elapsed_ms": int((time.monotonic() - start) * 1000),
     }
 
 
@@ -118,8 +131,10 @@ def _write(text: str, path: str | None) -> None:
         raise _out_error(path, exc) from None
 
 
-def _emit(report: dict, args: argparse.Namespace, text: str) -> None:
+def _finish(report: dict, args: argparse.Namespace, text: str) -> int:
+    """Write the report as JSON or as text; its verdict is the exit code."""
     _write(json.dumps(report, indent=2) if args.output == "json" else text, args.out)
+    return EXIT_PASS if report["overall_pass"] else EXIT_COUNTEREXAMPLE
 
 
 def cmd_verify_theorem(args: argparse.Namespace) -> int:
@@ -127,25 +142,18 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
     report = verify_jet_representation(
         args.N, args.n, args.k, trials=args.trials, seed=args.seed, height=args.height
     )
-    body = _report_skeleton(
-        "verify-theorem",
-        {
-            "N": args.N,
-            "n": args.n,
-            "k": args.k,
-            "trials": args.trials,
-            "seed": args.seed,
-            "height": args.height,
-        },
-    )
-    body["result"] = _theorem_result(report)
-    body["overall_pass"] = report.passed
+    verbose = {}
     if args.verbose:
         phi = x0_derivative_matrix(args.N, args.n, args.k)
-        body["phi_matrix"] = [
+        verbose["phi_matrix"] = [
             [str(phi.entry(i, j)) for j in range(phi.cols)] for i in range(phi.rows)
         ]
-    body["elapsed_ms"] = int((time.monotonic() - start) * 1000)
+    body = _report(
+        args.command, _config(args), start,
+        result=_theorem_result(report),
+        overall_pass=report.passed,
+        **verbose,
+    )
     text = (
         f"N={args.N} n={args.n} k={args.k}  "
         f"kernel {_ok(report.kernel_matches)}  taylor {_ok(report.taylor_kernel_matches)}  "
@@ -155,8 +163,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
         f"quotient {_ok(report.quotient_iso_equivariant)}\n"
         f"overall: {'PASS' if report.passed else 'FAIL'}"
     )
-    _emit(body, args, text)
-    return EXIT_PASS if report.passed else EXIT_COUNTEREXAMPLE
+    return _finish(body, args, text)
 
 
 def cmd_verify_corollary(args: argparse.Namespace) -> int:
@@ -164,21 +171,19 @@ def cmd_verify_corollary(args: argparse.Namespace) -> int:
     start = time.monotonic()
     data = jet_transition_matrix(args.N, args.n, args.k)
     result = _splitting_result(data, args.N, args.n, args.k)
-    body = _report_skeleton(
-        "verify-corollary", {"N": args.N, "n": args.n, "k": args.k}
+    verbose = {"transition": transition_to_json_dict(data)} if args.verbose else {}
+    body = _report(
+        args.command, _config(args), start,
+        result=result,
+        overall_pass=result["pass"],
+        **verbose,
     )
-    body["result"] = result
-    body["overall_pass"] = result["pass"]
-    if args.verbose:
-        body["transition"] = transition_to_json_dict(data)
-    body["elapsed_ms"] = int((time.monotonic() - start) * 1000)
     degrees = "{" + ", ".join(str(d) for d in result["degrees"]) + "}"
     text = (
         f"N={args.N} n={args.n} k={args.k}  splitting {degrees} "
         f"{_ok(result['pass'])}\noverall: {'PASS' if result['pass'] else 'FAIL'}"
     )
-    _emit(body, args, text)
-    return EXIT_PASS if result["pass"] else EXIT_COUNTEREXAMPLE
+    return _finish(body, args, text)
 
 
 def cmd_dims(args: argparse.Namespace) -> int:
@@ -188,15 +193,16 @@ def cmd_dims(args: argparse.Namespace) -> int:
     sub = m_power_subspace(args.N, args.n, args.k).dim
     fiber = binomial(args.k + args.N, args.N)
     identity_ok = codimension_identity(args.N, args.n, args.k)
-    body = _report_skeleton("dims", {"N": args.N, "n": args.n, "k": args.k})
-    body["result"] = {
-        "dim_forms": full,
-        "dim_small_x0_subspace": sub,
-        "fiber_rank": fiber,
-        "identity": identity_ok,
-    }
-    body["overall_pass"] = identity_ok and full - sub == fiber
-    body["elapsed_ms"] = int((time.monotonic() - start) * 1000)
+    body = _report(
+        args.command, _config(args), start,
+        result={
+            "dim_forms": full,
+            "dim_small_x0_subspace": sub,
+            "fiber_rank": fiber,
+            "identity": identity_ok,
+        },
+        overall_pass=identity_ok and full - sub == fiber,
+    )
     text = (
         f"dim degree-{args.n} forms      = {full}\n"
         f"dim small-x0 subspace    = {sub}\n"
@@ -204,21 +210,20 @@ def cmd_dims(args: argparse.Namespace) -> int:
         f"codimension identity     = {_ok(identity_ok)}\n"
         f"overall: {'PASS' if body['overall_pass'] else 'FAIL'}"
     )
-    _emit(body, args, text)
-    return EXIT_PASS if body["overall_pass"] else EXIT_COUNTEREXAMPLE
+    return _finish(body, args, text)
 
 
 def cmd_splitting_type(args: argparse.Namespace) -> int:
     start = time.monotonic()
     st = splitting_type(jet_transition_matrix(args.N, args.n, args.k))
-    body = _report_skeleton("splitting-type", {"N": args.N, "n": args.n, "k": args.k})
-    body["result"] = {"degrees": list(st.degrees), "rank": st.rank}
-    body["overall_pass"] = True
-    body["elapsed_ms"] = int((time.monotonic() - start) * 1000)
+    body = _report(
+        args.command, _config(args), start,
+        result={"degrees": list(st.degrees), "rank": st.rank},
+        overall_pass=True,
+    )
     degrees = "{" + ", ".join(str(d) for d in st.degrees) + "}"
     text = f"N={args.N} n={args.n} k={args.k}  splitting {degrees}"
-    _emit(body, args, text)
-    return EXIT_PASS
+    return _finish(body, args, text)
 
 
 def cmd_export_transition(args: argparse.Namespace) -> int:
@@ -275,21 +280,15 @@ def run_sweep(
                     "pass": triple_pass,
                 }
             )
-    report = _report_skeleton(
-        "sweep",
-        {
-            "N": sorted(set(n_values)),
-            "n": sorted(set(degree_values)),
-            "k": sorted(set(k_values)) if k_values is not None else None,
-            "trials": trials,
-            "seed": seed,
-            "height": height,
-        },
-    )
-    report["results"] = results
-    report["overall_pass"] = overall
-    report["elapsed_ms"] = int((time.monotonic() - start) * 1000)
-    return report
+    config = {
+        "N": sorted(set(n_values)),
+        "n": sorted(set(degree_values)),
+        "k": sorted(set(k_values)) if k_values is not None else None,
+        "trials": trials,
+        "seed": seed,
+        "height": height,
+    }
+    return _report("sweep", config, start, results=results, overall_pass=overall)
 
 
 def _sweep_text(report: dict) -> str:
@@ -316,15 +315,10 @@ def _sweep_text(report: dict) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    n_values = args.N if args.N else list(DEFAULT_SWEEP_N)
-    degree_values = args.n if args.n else list(DEFAULT_SWEEP_DEGREES)
-    report = run_sweep(
-        n_values, degree_values, args.k, args.trials, args.seed, args.height
-    )
+    report = run_sweep(args.N, args.n, args.k, args.trials, args.seed, args.height)
     if not report["results"]:
         raise ParameterError("sweep ranges contain no (N, n, k) with 1 <= k < n")
-    _emit(report, args, _sweep_text(report))
-    return EXIT_PASS if report["overall_pass"] else EXIT_COUNTEREXAMPLE
+    return _finish(report, args, _sweep_text(report))
 
 
 def _ok(flag: bool) -> str:
@@ -347,8 +341,8 @@ _TRIPLE = {
     "--k": dict(type=int, required=True, help="jet order"),
 }
 _RANGES = {
-    "--N": dict(type=int, nargs="+", default=None, help="ambient dimensions"),
-    "--n": dict(type=int, nargs="+", default=None, help="line bundle degrees"),
+    "--N": dict(type=int, nargs="+", default=[1, 2, 3], help="ambient dimensions"),
+    "--n": dict(type=int, nargs="+", default=[2, 3, 4, 5], help="line bundle degrees"),
     "--k": dict(type=int, nargs="+", default=None, help="jet orders (default: all 1 <= k < n)"),
 }
 _TRIALS = {

@@ -252,9 +252,43 @@ def test_sweep_triple_count_and_json(capsys):
     assert report["schema"] == 1
     assert len(report["results"]) == 12  # 2 * (1 + 2 + 3)
     assert report["overall_pass"] is True
-    assert [k for k in report] == [
-        "schema", "tool_version", "config", "results", "overall_pass", "elapsed_ms",
+
+
+CHECKED = ["N", "n", "k", "trials", "seed", "height"]
+THEOREM = ["verify-theorem", "--N", "1", "--n", "2", "--k", "1", "--trials", "2"]
+COROLLARY = ["verify-corollary", "--N", "2", "--n", "3", "--k", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,verbose_key",
+    [
+        (THEOREM, None),
+        ([*THEOREM, "--verbose"], "phi_matrix"),
+        (COROLLARY, None),
+        ([*COROLLARY, "--verbose"], "transition"),
+        (["dims", "--N", "1", "--n", "2", "--k", "1"], None),
+        (["splitting-type", "--N", "1", "--n", "2", "--k", "1"], None),
+        (["sweep", "--N", "1", "--n", "2", "--trials", "2"], None),
+    ],
+    ids=["verify-theorem", "verify-theorem --verbose", "verify-corollary",
+         "verify-corollary --verbose", "dims", "splitting-type", "sweep"],
+)
+def test_every_report_keeps_its_key_order_and_config(capsys, argv, verbose_key):
+    # One layout for every report: the config records the command and then
+    # exactly the checked options it declares, in declaration order, so an
+    # option outside CHECKED, such as a later reporting flag, stays out.
+    code, out, _ = run(capsys, *argv, "--output", "json")
+    assert code == 0
+    report = json.loads(out)
+    command = argv[0]
+    assert list(report) == [
+        "schema", "tool_version", "config",
+        "results" if command == "sweep" else "result", "overall_pass",
+        *([verbose_key] if verbose_key else []), "elapsed_ms",
     ]
+    declared = [flag[2:] for flag in COMMAND_OPTIONS[command].split()]
+    assert list(report["config"]) == ["command", *(name for name in declared if name in CHECKED)]
+    assert report["config"]["command"] == command
 
 
 def test_sweep_is_deterministic_modulo_elapsed(capsys):
