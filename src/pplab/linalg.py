@@ -126,32 +126,17 @@ class RationalMatrix:
         return all(x == 0 for x in self.entries)
 
     def det(self) -> Fraction:
-        """Exact determinant, from the elimination of [self | I]. Input row i
-        becomes the pivot row s * (row i + a combination of earlier rows),
-        and its scale s, the row's lcm times its `a` multipliers over its
-        content divisors, is its entry in identity column i. So det is the
-        signed product of lead / s over the pivots, or 0 when a row leads
-        in the identity half."""
+        """Exact determinant, by `_det` on the sparse rows."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        pivots = _eliminate(_with_identity(self))
-        if any(c >= n for c in pivots):
-            return Fraction(0)
-        # Row i ends up leading at column cols[i]; sorting the rows by that
-        # column gives a triangular matrix, at the sign of the permutation.
-        cols = list(pivots)
-        inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :])
-        leads = prod(row[c] for c, row in pivots.items())
-        scales = prod(row[n + i] for i, row in enumerate(pivots.values()))
-        return Fraction(-leads if inversions % 2 else leads, scales)
+        return _det(_sparse_rows(self))
 
     def inverse(self) -> "RationalMatrix":
         """Exact inverse: the reduced form of [self | I] is [I | inverse]."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        pivots = _eliminate(_with_identity(self), reduced=True)
+        pivots = _eliminate(_with_identity(_sparse_rows(self)), reduced=True)
         if any(c >= n for c in pivots):
             raise ValueError("matrix is singular")
         out = [Fraction(pivots[i].get(n + j, 0), pivots[i][i]) for i in range(n) for j in range(n)]
@@ -166,12 +151,32 @@ def _sparse_rows(m: RationalMatrix) -> list[dict[int, Fraction]]:
     return [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
 
 
-def _with_identity(m: RationalMatrix) -> list[dict[int, Fraction]]:
-    """Sparse rows of [m | I]."""
-    rows = _sparse_rows(m)
+def _with_identity(rows: list[dict[int, Scalar]]) -> list[dict[int, Scalar]]:
+    """Sparse rows of [m | I] from the sparse rows of a square m."""
     for i, row in enumerate(rows):
-        row[m.cols + i] = _ONE
+        row[len(rows) + i] = 1
     return rows
+
+
+def _det(rows: list[dict[int, Scalar]]) -> Fraction:
+    """Exact determinant of the square m with these sparse rows of ints and
+    Fractions, which `_with_identity` extends in place, from the
+    elimination of [m | I]. Input row i becomes the pivot row
+    s * (row i + a combination of earlier rows), and its scale s, the row's
+    lcm times its `a` multipliers over its content divisors, is its entry
+    in identity column i. So det is the signed product of lead / s over the
+    pivots, or 0 when a row leads in the identity half."""
+    n = len(rows)
+    pivots = _eliminate(_with_identity(rows))
+    if any(c >= n for c in pivots):
+        return Fraction(0)
+    # Row i ends up leading at column cols[i]; sorting the rows by that
+    # column gives a triangular matrix, at the sign of the permutation.
+    cols = list(pivots)
+    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :])
+    leads = prod(row[c] for c, row in pivots.items())
+    scales = prod(row[n + i] for i, row in enumerate(pivots.values()))
+    return Fraction(-leads if inversions % 2 else leads, scales)
 
 
 def _eliminate(

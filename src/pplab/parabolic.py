@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, _det
 from .symspace import ParameterError, binomial, check_theorem_regime, dim_sym, monomial_basis
 
 
@@ -173,15 +173,15 @@ def _scaled_inverse_rows(g: GroupElement | Draw) -> tuple[tuple[tuple[int, ...],
     A `Draw` is g^-1 = h itself, so its rows are `Draw.cleared_rows` and c
     is `Draw.clearing`. It is checked exactly before they are returned, so a
     fault in the draw raises ArithmeticError: det g = det E = 1, by
-    `RationalMatrix.det` on the integer block E (the corner b and the row
-    scaled by 1/b cancel).
+    `linalg._det` on the integer rows of the block E (the corner b and the
+    row scaled by 1/b cancel).
 
     Any other element is inverted by `RationalMatrix.inverse`.
     """
     if not isinstance(g, Draw):
         inv = g.mat.inverse()
         return _cleared([inv.row(i) for i in range(inv.rows)])
-    det = RationalMatrix.from_rows(g.block).det()
+    det = _det([dict(enumerate(row)) for row in g.block])
     if det != 1:
         raise ArithmeticError(f"a drawn element has determinant {det}, not 1")
     return g.cleared_rows(), g.clearing

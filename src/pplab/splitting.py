@@ -1,5 +1,6 @@
 """Transition matrices of jet bundles restricted to a coordinate line, and
-extraction of their splitting degrees from twisted global-section counts.
+their splitting degrees: two twisted global-section counts prove a uniform
+block, and column reduction over Q[1/t] reads any other.
 
 Setup: the line {x_2 = ... = x_N = 0} is parameterized as (1 : t : 0 : ... : 0).
 Chart 0 of the ambient space has affine coordinates u_i = x_i / x_0, chart 1
@@ -327,7 +328,8 @@ def h0_twisted(data: TransitionData, m: int) -> int:
     L = (sum of the row minima) - (largest row minimum). As f_0 is a
     polynomial in t, every exponent of f_1(1/t) is at least L - m - e, so
     deg f_1 <= max(0, m + e - L) holds for every section
-    (`TransitionData.adjugate_floor` is L).
+    (`TransitionData.adjugate_floor` is L). Two of these counts are the
+    certificate of a uniform block in `splitting_type`.
     """
     return _section_space_dim(data, m, max(0, m + data.det_exponent - data.adjugate_floor))
 
@@ -336,63 +338,80 @@ def splitting_type(data: TransitionData) -> SplittingType:
     """Degrees of the line-bundle summands of a unit-determinant cocycle.
 
     The cocycle is the direct sum of its blocks (`TransitionData.blocks`),
-    so its splitting type is the union of theirs. The degrees of each
-    distinct block are read once, from its own section counts and degree
-    bounds. The jet cocycle is block-diagonal by the tail exponents
-    (alpha_2, ..., alpha_N) of the jet monomials. A block whose degrees do
-    not sum to its determinant exponent raises ArithmeticError.
+    so its splitting type is the union of theirs, and each distinct block
+    is read once. A block of rank r whose determinant exponent e is r * d
+    is proven uniform by two exact section counts, h0(-d-1) = 0 and
+    h0(-d) = r: h0(m) is the sum of max(0, d_j + m + 1) over its degrees
+    d_j, so the first count puts every d_j below d + 1, and the second
+    then puts every d_j at d. This covers every jet block. Every other
+    block is read by `_column_reduction`. A block whose degrees do not sum
+    to e, or whose certificate fails while column reduction finds it
+    uniform, raises ArithmeticError.
     """
     found: dict[int, list[int]] = {}
     degrees: list[int] = []
     for block in data.blocks:
         if id(block) not in found:
-            block_degrees = _block_degrees(block)
-            if sum(block_degrees) != block.det_exponent:
+            rho, e = block.rank, block.det_exponent
+            d, rest = divmod(e, rho)
+            if not rest and h0_twisted(block, -d - 1) == 0 and h0_twisted(block, -d) == rho:
+                block_degrees = [d] * rho
+            else:
+                block_degrees = _column_reduction(block)
+                if not rest and block_degrees == [d] * rho:
+                    raise ArithmeticError("section counts and column reduction disagree on a block")
+            if sum(block_degrees) != e:
                 raise ArithmeticError("block degrees do not sum to its determinant exponent")
             found[id(block)] = block_degrees
         degrees.extend(found[id(block)])
     return SplittingType(tuple(sorted(degrees, reverse=True)))
 
 
-def _block_degrees(data: TransitionData) -> list[int]:
-    """Degrees of one block, from first differences of its exact section
-    counts: g(m) = h0(m) - h0(m-1) is the number of degrees >= -m.
+def _lowest_kernel(cols: list[list[LaurentPoly]], lows: list[int]) -> dict[int, int] | None:
+    """A kernel vector {column: c_j} of the lowest-order matrix, whose
+    column j holds the coefficients of t^low(j) in column j, or None when
+    that matrix is invertible: `_eliminate` on the rows
+    [lowest-order column j | unit vector j] gives a pivot row past the
+    first rank columns exactly when a combination of columns vanishes."""
+    rho = len(cols)
+    rows = [
+        {**{i: p.coeff(low) for i, p in enumerate(col)}, rho + j: 1}
+        for j, (col, low) in enumerate(zip(cols, lows))
+    ]
+    for c, row in _eliminate(rows).items():
+        if c >= rho:
+            return {j - rho: v for j, v in row.items()}
+    return None
 
-    The twist window [a, b] starts at the average degree, b = -floor(e/rank)
-    and a = b - 1, so three counts settle a uniform block. It widens one
-    twist at a time until g(a) = 0 and g(b) = rank; the multiplicity of
-    degree -m is then g(m) - g(m-1).
+
+def _column_reduction(data: TransitionData) -> list[int]:
+    """Degrees of one block by column reduction over Q[1/t] (Wolovich 1974;
+    Kailath, Linear Systems, 1980, 6.3), with no section count.
+
+    low(j) is the least exponent of t in column j. While the lowest-order
+    matrix has a kernel vector c, the column j* of least low(j) on its
+    support, L, is replaced by the sum of c_j t^(L - low(j)) col_j. That is
+    T -> T U with U unimodular over Q[1/t], which keeps h0 and det, and it
+    clears t^L from column j*, so the sum of the lows rises. Every term of
+    det T = c t^e has exponent at least that sum, so at most e - sum(lows)
+    steps are needed; more raise ArithmeticError. When the matrix is
+    invertible, T U = A(t) diag(t^low) with A(0) that matrix and det A a
+    constant, so A is unimodular over Q[t] and the degrees are the lows.
     """
-    e_det = data.det_exponent
     rho = data.rank
-    lo, hi = data.matrix.exponent_range()
-    window_cap = rho * (abs(lo) + abs(hi) + 1) + abs(e_det) + 1
-    h0: dict[int, int] = {}
-
-    def g(m: int) -> int:
-        for twist in (m - 1, m):
-            if twist not in h0:
-                h0[twist] = h0_twisted(data, twist)
-        return h0[m] - h0[m - 1]
-
-    b = -(e_det // rho)
-    a = b - 1
-    while g(a) != 0 or g(b) != rho:
-        if g(a) != 0:
-            a -= 1
-        else:
-            b += 1
-        if a < -window_cap or b > window_cap:
-            raise ArithmeticError(
-                "twist window failed to stabilize; transition data is not a unit cocycle"
-            )
-    degrees: list[int] = []
-    for m in range(a + 1, b + 1):
-        mult = g(m) - g(m - 1)
-        if mult < 0:
-            raise ArithmeticError(f"negative multiplicity of degree {-m} in the section counts")
-        degrees.extend([-m] * mult)
-    return degrees
+    cols = [[data.matrix.entry(i, j) for i in range(rho)] for j in range(rho)]
+    lows = [min(p.min_exp for p in col if not p.is_zero()) for col in cols]
+    for _ in range(data.det_exponent - sum(lows) + 1):
+        kernel = _lowest_kernel(cols, lows)
+        if kernel is None:
+            return lows
+        low, star = min((lows[j], j) for j in kernel)
+        cols[star] = [
+            sum((cols[j][i].shift(low - lows[j]).scale(c) for j, c in kernel.items()), LaurentPoly.zero())
+            for i in range(rho)
+        ]
+        lows[star] = min(p.min_exp for p in cols[star] if not p.is_zero())
+    raise ArithmeticError("column reduction took more steps than the determinant exponent allows")
 
 
 def jet_splitting_check(

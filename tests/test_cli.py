@@ -10,6 +10,8 @@ from pplab.jetmap import JetRepReport
 from pplab.laurent import LaurentMatrix
 from pplab.splitting import TransitionData, jet_transition_matrix, transition_to_json_dict
 
+from test_splitting import window_splitting
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -197,12 +199,16 @@ def test_non_uniform_cocycle_is_a_counterexample(capsys, monkeypatch, command):
     split = report["result"] if "result" in report else report["results"][0]["splitting"]
     assert split["pass"] is False
     assert sum(split["degrees"]) == split["multiplicity"] * split["expected_degree"] + 1
+    # Its true degrees, as the window-search oracle reads them: its first
+    # block is not uniform, so column reduction reads it.
+    assert split["degrees"] == list(window_splitting(non_uniform_cocycle(2, 3, 1))) == [3, 2, 2]
     assert report["overall_pass"] is False
 
 
 def twisted_jet_cocycle(shift):
     # The jet cocycle times t^shift: still a unit cocycle, split uniformly,
-    # but of degree n-k+shift, so the window search starts on a wrong degree.
+    # but of degree n-k+shift, which the certificate reads off the
+    # determinant and proves by its two section counts.
     def build(N, n, k):
         data = jet_transition_matrix(N, n, k)
         entries = tuple(p.shift(shift) for p in data.matrix.entries)

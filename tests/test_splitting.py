@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pplab import laurent, splitting
 from pplab.laurent import LaurentMatrix, LaurentPoly, block_components, det_laurent
@@ -230,9 +230,11 @@ def criterion_6_cases():
 
 
 def test_undercounted_sections_raise_instead_of_giving_wrong_degrees(monkeypatch):
-    # With the chart-1 degree bound capped at 0, h0 undercounts; the checks
-    # on the twist window, the multiplicities and the degree sum must then
-    # refuse the answer rather than return a wrong splitting.
+    # With the chart-1 degree bound capped at 0, h0 undercounts, so the
+    # certificate of a uniform block can fail. Column reduction, which
+    # counts no sections, then finds the block uniform, and the two routes'
+    # disagreement (or the degree sum) must refuse the answer rather than
+    # return a wrong splitting.
     exact = splitting._section_space_dim
     monkeypatch.setattr(
         splitting, "_section_space_dim", lambda data, m, bound: exact(data, m, min(bound, 0))
@@ -511,11 +513,145 @@ def test_jet_cocycles_keep_their_golden_digest():
     assert digest.hexdigest() == "f2a7fe80eb12a8611317a2bf03f9582a9f37395984e1c5f032c468abc643f58e"
 
 
+# --- the twist-window search, kept as an oracle ---------------------------
+
+def window_degrees(data):
+    """Degrees of one block by a twist-window search over exact section
+    counts, the reference for `splitting_type`'s certificate and column
+    reduction: g(m) = h0(m) - h0(m-1) is the number of degrees >= -m. The
+    window [a, b] starts at b = -floor(e/rank), a = b - 1, and widens one
+    twist at a time until g(a) = 0 and g(b) = rank; the multiplicity of
+    degree -m is then g(m) - g(m-1)."""
+    e_det, rho = data.det_exponent, data.rank
+    lo, hi = data.matrix.exponent_range()
+    window_cap = rho * (abs(lo) + abs(hi) + 1) + abs(e_det) + 1
+    h0 = {}
+
+    def g(m):
+        for twist in (m - 1, m):
+            if twist not in h0:
+                h0[twist] = h0_twisted(data, twist)
+        return h0[m] - h0[m - 1]
+
+    b = -(e_det // rho)
+    a = b - 1
+    while g(a) != 0 or g(b) != rho:
+        if g(a) != 0:
+            a -= 1
+        else:
+            b += 1
+        if a < -window_cap or b > window_cap:
+            raise ArithmeticError("twist window failed to stabilize")
+    degrees = []
+    for m in range(a + 1, b + 1):
+        mult = g(m) - g(m - 1)
+        if mult < 0:
+            raise ArithmeticError(f"negative multiplicity of degree {-m}")
+        degrees.extend([-m] * mult)
+    return degrees
+
+
+def window_splitting(data, memo=None):
+    """The sorted union of `window_degrees` over the blocks of a cocycle,
+    searched once per distinct block matrix (across calls, with `memo`)."""
+    memo = {} if memo is None else memo
+    degrees = []
+    for block in data.blocks:
+        if block.matrix not in memo:
+            memo[block.matrix] = window_degrees(block)
+        degrees.extend(memo[block.matrix])
+    return tuple(sorted(degrees, reverse=True))
+
+
+def workload_shaped_cases(seed, count=40):
+    """Cocycles shaped like the benchmark's gauged ones: degrees -4..4 that
+    include both ends, ranks 2-8, and diag(t^d) hidden by
+    L = 1 + a t E_ij and R = 1 + b t^-1 E_ji, with i and j the positions
+    of 4 and -4, so the gauge fills one 2x2 block."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rank = rng.randint(2, 8)
+        degrees = [4, -4] + [rng.randint(-4, 4) for _ in range(rank - 2)]
+        rng.shuffle(degrees)
+        i, j = degrees.index(4), degrees.index(-4)
+        left, right = [LaurentPoly.zero()] * (rank * rank), [LaurentPoly.zero()] * (rank * rank)
+        for d in range(rank):
+            left[d * rank + d] = right[d * rank + d] = LaurentPoly.const(1)
+        left[i * rank + j] = LaurentPoly.t_pow(1, rng.choice((-2, -1, 1, 2)))
+        right[j * rank + i] = LaurentPoly.t_pow(-1, rng.choice((-2, -1, 1, 2)))
+        matrix = LaurentMatrix(rank, rank, tuple(left)) @ diag_powers(*degrees).matrix
+        yield TransitionData(rank, matrix @ LaurentMatrix(rank, rank, tuple(right))), degrees
+
+
+def test_splitting_type_matches_the_window_search_on_criterion_6_and_jet_cases():
+    for data, degrees in criterion_6_cases():
+        assert splitting_type(data).degrees == window_splitting(data) == tuple(
+            sorted(degrees, reverse=True)
+        )
+    for case in JET_CASES:
+        data = jet_transition_matrix(*case)
+        assert splitting_type(data).degrees == window_splitting(data), case
+
+
+def test_splitting_type_matches_the_window_search_on_every_small_jet_cocycle(monkeypatch):
+    # n >= 1 is the regime of the jet cocycle. k > n is included, and even
+    # there every block is uniform, so the certificate reads every block and
+    # column reduction never runs on a jet cocycle.
+    reductions = []
+    reduce = splitting._column_reduction
+    monkeypatch.setattr(
+        splitting, "_column_reduction", lambda data: reductions.append(data) or reduce(data)
+    )
+    triples = [
+        (N, n, k)
+        for N in range(1, 5)
+        for n in range(1, 9)
+        for k in range(8)
+        if binomial(N + k, N) <= 130
+    ]
+    assert len(triples) == 240 and any(k > n for _, n, k in triples)
+    memo = {}
+    for triple in triples:
+        data = jet_transition_matrix(*triple)
+        assert splitting_type(data).degrees == window_splitting(data, memo), triple
+    assert reductions == []
+
+
+def test_splitting_type_matches_the_window_search_on_workload_shaped_cocycles():
+    for seed in (1, 3):
+        for data, degrees in workload_shaped_cases(seed):
+            expected = tuple(sorted(degrees, reverse=True))
+            assert splitting_type(data).degrees == window_splitting(data) == expected
+
+
+@st.composite
+def non_uniform_blocks(draw):
+    """One connected gauged block of rank 2-4 whose degrees are not all
+    equal, with those degrees."""
+    degrees = draw(
+        st.lists(st.integers(-4, 4), min_size=2, max_size=4).filter(lambda ds: len(set(ds)) > 1)
+    )
+    data = TransitionData(len(degrees), gauged(random.Random(draw(st.integers(0, 2**32 - 1))), degrees))
+    assume(len(data.blocks) == 1)
+    return data, degrees
+
+
+@settings(deadline=None, max_examples=60)
+@given(non_uniform_blocks())
+def test_column_reduction_matches_the_window_search_on_non_uniform_blocks(case):
+    data, degrees = case
+    expected = tuple(sorted(degrees, reverse=True))
+    assert tuple(sorted(splitting._column_reduction(data), reverse=True)) == expected
+    assert splitting_type(data).degrees == window_splitting(data) == expected
+
+
 def test_integer_sparse_rank_matches_rational_elimination(monkeypatch):
-    # Capture every section system the twist windows build, for the
-    # criterion-6 cocycles and the jet cocycles of JET_CASES, and compare
-    # the fraction-free rank with the rank the dense naive Gauss-Jordan
-    # oracle of test_linalg gives, once per distinct system.
+    # Capture every section system that the certificates of splitting_type
+    # and the window-search oracle build, for the criterion-6 cocycles and
+    # the jet cocycles of JET_CASES, and compare the fraction-free rank with
+    # the rank the dense naive Gauss-Jordan oracle of test_linalg gives,
+    # once per distinct system. The window search alone built 252 distinct
+    # systems when splitting_type ran it.
     rank = splitting._sparse_rank
     systems = []
 
@@ -528,6 +664,7 @@ def test_integer_sparse_rank_matches_rational_elimination(monkeypatch):
     cocycles += [jet_transition_matrix(*case) for case in JET_CASES]
     for data in cocycles:
         splitting_type(data)
+        window_splitting(data)
     assert len(systems) > len(cocycles)
 
     oracle: dict[tuple, int] = {}
@@ -548,6 +685,7 @@ def test_integer_sparse_rank_matches_rational_elimination(monkeypatch):
             assert variant == before
         nonzero += expected > 0
     assert nonzero > 0
+    assert len(oracle) >= 252
 
 
 def test_jet_splitting_is_uniform():
