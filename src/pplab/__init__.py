@@ -10,24 +10,13 @@ from .laurent import LaurentMatrix, LaurentPoly, det_laurent
 from .symspace import (
     MonomialBasis,
     ParameterError,
-    PolyVector,
     binomial,
     codimension_identity,
     dim_sym,
     m_power_subspace,
     monomial_basis,
-    partial_derivative,
 )
-from .parabolic import (
-    GroupElement,
-    RepAction,
-    chi,
-    dual_action_matrix,
-    is_equivariant,
-    random_parabolic,
-    sym_action,
-    target_rep_action,
-)
+from .parabolic import GroupElement
 from .jetmap import (
     JetRepReport,
     exact_sequence_check,
@@ -43,7 +32,6 @@ from .splitting import (
     h0_twisted,
     jet_transition_matrix,
     splitting_type,
-    transition_consistency,
 )
 
 __all__ = [
@@ -58,21 +46,12 @@ __all__ = [
     "det_laurent",
     "MonomialBasis",
     "ParameterError",
-    "PolyVector",
     "binomial",
     "codimension_identity",
     "dim_sym",
     "m_power_subspace",
     "monomial_basis",
-    "partial_derivative",
     "GroupElement",
-    "RepAction",
-    "chi",
-    "dual_action_matrix",
-    "is_equivariant",
-    "random_parabolic",
-    "sym_action",
-    "target_rep_action",
     "JetRepReport",
     "exact_sequence_check",
     "taylor_fiber_matrix",
@@ -85,5 +64,4 @@ __all__ = [
     "h0_twisted",
     "jet_transition_matrix",
     "splitting_type",
-    "transition_consistency",
 ]

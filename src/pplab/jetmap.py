@@ -28,7 +28,6 @@ from .parabolic import (
     _substitution_images,
 )
 from .symspace import (
-    ParameterError,
     binomial,
     check_theorem_regime,
     dim_sym,
@@ -70,8 +69,7 @@ def taylor_fiber_matrix(N: int, n: int, k: int) -> RationalMatrix:
     the coefficient of a degree-n monomial lands in the row that
     `x0_derivative_matrix` sends it to: the two maps share their row index.
     """
-    if N < 1 or not 0 <= k <= n:
-        raise ParameterError(f"require N >= 1 and 0 <= k <= n, got N={N}, n={n}, k={k}")
+    check_theorem_regime(N, n, k)
     basis_n = monomial_basis(N, n)
     basis_k = monomial_basis(N, k)
     steps = n - k

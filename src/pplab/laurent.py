@@ -214,18 +214,6 @@ class LaurentMatrix:
             self.rows, self.cols, tuple(p.evaluate(t0) if not p.is_zero() else Fraction(0) for p in self.entries)
         )
 
-    def exponent_range(self) -> tuple[int, int]:
-        """(min, max) exponent over all nonzero entries; raises on the zero matrix."""
-        lo, hi = None, None
-        for p in self.entries:
-            if p.is_zero():
-                continue
-            lo = p.min_exp if lo is None else min(lo, p.min_exp)
-            hi = p.max_exp if hi is None else max(hi, p.max_exp)
-        if lo is None:
-            raise ValueError("zero matrix has no exponent range")
-        return lo, hi
-
 
 def block_components(m: LaurentMatrix) -> list[tuple[list[int], list[int]]]:
     """Connected components of the nonzero pattern of m, as (rows, cols).

@@ -80,10 +80,6 @@ class RationalMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def iter_rows(self):
-        for i in range(self.rows):
-            yield self.row(i)
-
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -121,9 +117,6 @@ class RationalMatrix:
         return tuple(
             sum((x * y for x, y in zip(self.row(i), v)), Fraction(0)) for i in range(self.rows)
         )
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
 
     def det(self) -> Fraction:
         """Exact determinant, by `_det` on the sparse rows."""
@@ -312,10 +305,6 @@ class Subspace:
         sparse = [_sparse_vector(v, ambient_dim) for v in vectors]
         pivots = _eliminate(sparse, reduced=True)
         return Subspace(ambient_dim, _canonical_rows(pivots))
-
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
 
 
 def _sparse_vector(

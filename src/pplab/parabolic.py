@@ -1,16 +1,17 @@
-"""The special linear group over the rationals, its line-stabilizer subgroup,
-and the induced actions on symmetric powers of the dual space.
+"""The line stabilizer P in the special linear group over the rationals,
+its seeded random elements, and their substitution action on forms.
 
 Conventions, fixed once and locked in by tests:
 
 * A group element g acts on functions by (g.f)(v) = f(g^-1 v). On the dual
   basis x_0, ..., x_N this is substitution of the linear forms given by the
-  rows of g^-1.
+  rows of g^-1, which is what `_substitution_images` expands.
 * Action matrices use the column convention: the coefficient vector of g.f is
   action_matrix(g) @ coeffs(f). This makes g -> matrix a homomorphism, and it
   makes the one-dimensional quotient of the degree-n forms by the hyperplane
   ideal transform by a^-n, where a is the upper-left entry of a stabilizer
-  element. That last consequence is what pins the convention.
+  element. That last consequence is what pins the convention; the dense
+  action matrices that pin it are test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import RationalMatrix, _det
-from .symspace import ParameterError, binomial, check_theorem_regime, dim_sym, monomial_basis
+from .symspace import monomial_basis
 
 
 @dataclass(frozen=True)
@@ -50,27 +50,6 @@ class GroupElement:
                 raise ValueError("upper-left entry does not match the stabilizer scalar")
             if any(self.mat.entry(i, 0) != 0 for i in range(1, self.mat.rows)):
                 raise ValueError("first column below the corner must vanish")
-
-    @property
-    def N(self) -> int:
-        return self.mat.rows - 1
-
-    @property
-    def is_parabolic(self) -> bool:
-        return self.parabolic_scalar is not None
-
-    @staticmethod
-    def identity(N: int) -> "GroupElement":
-        return GroupElement(RationalMatrix.identity(N + 1), Fraction(1))
-
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        scalar = None
-        if self.is_parabolic and other.is_parabolic:
-            scalar = self.parabolic_scalar * other.parabolic_scalar
-        return GroupElement(self.mat @ other.mat, scalar)
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return self.compose(other)
 
 
 class Draw(NamedTuple):
@@ -147,44 +126,19 @@ def _group_element(draw: Draw) -> GroupElement:
     return GroupElement(RationalMatrix.from_rows(rows).inverse(), 1 / b)
 
 
-def random_parabolic(N: int, seed: int, height: int = 3) -> GroupElement:
-    """Seed-deterministic random stabilizer element, drawn by its inverse."""
-    return _group_element(_parabolic_from_rng(N, random.Random(seed), height))
+def _scaled_inverse_rows(draw: Draw) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rows of g^-1 = h cleared to integers: (rows, c) with g^-1 = rows / c,
+    the draw's `Draw.cleared_rows` and `Draw.clearing`.
 
-
-def dual_action_matrix(g: GroupElement) -> RationalMatrix:
-    """Matrix of the action on the dual space in the basis x_0, ..., x_N.
-
-    Columns are images: column i holds the coefficients of g.x_i, which is the
-    substitution of row i of g^-1. The result is the inverse transpose of g.
+    The draw is checked exactly before they are returned, so a fault in it
+    raises ArithmeticError: det g = det E = 1, by `linalg._det` on the
+    integer rows of the block E (the corner b and the row scaled by 1/b
+    cancel).
     """
-    return g.mat.inverse().transpose()
-
-
-def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Rational rows times the lcm c of their denominators: (integer rows, c)."""
-    c = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(int(x * c) for x in row) for row in rows), c
-
-
-def _scaled_inverse_rows(g: GroupElement | Draw) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Rows of g^-1 cleared to integers: returns (rows, c) with g^-1 = rows / c.
-
-    A `Draw` is g^-1 = h itself, so its rows are `Draw.cleared_rows` and c
-    is `Draw.clearing`. It is checked exactly before they are returned, so a
-    fault in the draw raises ArithmeticError: det g = det E = 1, by
-    `linalg._det` on the integer rows of the block E (the corner b and the
-    row scaled by 1/b cancel).
-
-    Any other element is inverted by `RationalMatrix.inverse`.
-    """
-    if not isinstance(g, Draw):
-        inv = g.mat.inverse()
-        return _cleared([inv.row(i) for i in range(inv.rows)])
-    det = _det([dict(enumerate(row)) for row in g.block])
+    det = _det([dict(enumerate(row)) for row in draw.block])
     if det != 1:
         raise ArithmeticError(f"a drawn element has determinant {det}, not 1")
-    return g.cleared_rows(), g.clearing
+    return draw.cleared_rows(), draw.clearing
 
 
 @lru_cache(maxsize=None)
@@ -267,67 +221,6 @@ def _substitution_images(
     return levels
 
 
-def sym_action(g: GroupElement, n: int) -> RationalMatrix:
-    """Matrix of the action on degree-n forms (column convention)."""
-    if n < 0:
-        raise ParameterError("degree must be nonnegative")
-    N = g.N
-    b_rows, c = _scaled_inverse_rows(g)
-    images = _substitution_images(b_rows, N, n)[n]
-    dim = len(images)
-    scale = Fraction(1, c**n)
-    entries = [Fraction(0)] * (dim * dim)
-    for col, image in images.items():
-        for row, coeff in image.items():
-            entries[row * dim + col] = coeff * scale
-    return RationalMatrix(dim, dim, tuple(entries))
-
-
-def chi(g: GroupElement, n: int) -> Fraction:
-    """Character a^-n of a stabilizer element; the weight of the degree-n line."""
-    if not g.is_parabolic:
-        raise ValueError("character is only defined for line-stabilizer elements")
-    return _scalar_character(g.parabolic_scalar, n)
-
-
 def _scalar_character(a: Fraction, n: int) -> Fraction:
     """The character a^-n, from the corner scalar a alone."""
     return a ** (-n)
-
-
-def target_rep_action(g: GroupElement, n: int, k: int) -> RationalMatrix:
-    """Action on the twisted degree-k forms: a^-(n-k) times the degree-k action.
-
-    This is the representation carried by the order-k jet fiber of the
-    degree-n line bundle, in the basis of degree-k monomials tensored with
-    the fixed generator of the (n-k)-th power of the quotient line.
-    """
-    if not g.is_parabolic:
-        raise ValueError("target action is only defined for line-stabilizer elements")
-    check_theorem_regime(g.N, n, k)
-    return sym_action(g, k).scale(chi(g, n - k))
-
-
-@dataclass(frozen=True)
-class RepAction:
-    """A finite-dimensional action given by its dimension and matrix map."""
-
-    dim: int
-    action: Callable[[GroupElement], RationalMatrix]
-
-
-def sym_rep(N: int, n: int) -> RepAction:
-    return RepAction(dim_sym(N, n), lambda g: sym_action(g, n))
-
-
-def target_rep(N: int, n: int, k: int) -> RepAction:
-    return RepAction(binomial(k + N, N), lambda g: target_rep_action(g, n, k))
-
-
-def is_equivariant(
-    m: RationalMatrix, src: RepAction, dst: RepAction, g: GroupElement
-) -> bool:
-    """Whether m intertwines the two actions at g: m @ src(g) == dst(g) @ m."""
-    if m.cols != src.dim or m.rows != dst.dim:
-        raise ValueError("matrix shape does not match the representations")
-    return m @ src.action(g) == dst.action(g) @ m

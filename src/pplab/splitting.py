@@ -12,31 +12,25 @@ these local functions in all N directions.
 Orientation convention, fixed once: the transition matrix T(t) expresses
 chart-0 jet coordinates through chart-1 jet coordinates,
 
-    chart0_jet(F, t0) = T(t0) @ chart1_jet(F, t0),
+    (chart-0 jet of F at t0) = T(t0) @ (chart-1 jet of F at t0),
 
 so a line bundle of degree d gets the 1x1 cocycle (t^d) and splitting degrees
-are read off with no sign flip; the k = 0 case pins this down in the tests.
+are read off with no sign flip; the k = 0 case pins this down in the tests,
+and `transition_consistency` in `tests/oracles.py` checks the identity on
+the closed-form jets of monomials.
 Global sections of the bundle twisted by degree m are pairs of polynomial
 vectors (f_0(t), f_1(s)) with f_0(t) = t^m * T(t) * f_1(1/t).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from .laurent import LaurentMatrix, LaurentPoly, block_components, det_laurent
-from .linalg import Scalar, _eliminate, _frac
-from .symspace import MultiIndex, binomial, check_corollary_regime, check_jet_regime, monomial_basis
-
-DEFAULT_SAMPLE_POINTS: tuple[Fraction, ...] = (
-    Fraction(1),
-    Fraction(2),
-    Fraction(-1, 3),
-)
+from .linalg import Scalar, _eliminate
+from .symspace import binomial, check_corollary_regime, check_jet_regime, monomial_basis
 
 
 class TransitionData:
@@ -212,76 +206,6 @@ def jet_transition_matrix(N: int, n: int, k: int) -> TransitionData:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form jet oracles for monomials, independent of the cocycle builder.
-# ---------------------------------------------------------------------------
-
-def chart0_jet(mono: MultiIndex, t0: Scalar, k: int) -> tuple[Fraction, ...]:
-    """Order-k Taylor coefficients of F(1, t0+s_1, s_2, ..., s_N) for a
-    degree-n monomial F = x^mono, as a vector over the jet basis: s^alpha
-    is indexed by the degree-k monomial x_0^(k-|alpha|) x^alpha."""
-    t0 = _frac(t0)
-    N = len(mono) - 1
-    basis = monomial_basis(N, k)
-    out = [Fraction(0)] * len(basis)
-    p1 = mono[1]
-    tail = mono[2:]
-    for idx, alpha in enumerate(basis):
-        if alpha[2:] != tail:
-            continue
-        a1 = alpha[1]
-        if a1 > p1:
-            continue
-        out[idx] = binomial(p1, a1) * t0 ** (p1 - a1)
-    return tuple(out)
-
-
-def chart1_jet(mono: MultiIndex, t0: Scalar, k: int) -> tuple[Fraction, ...]:
-    """Order-k Taylor coefficients of F(1/t0 + r_0, 1, r_2, ..., r_N) over the
-    jet basis of `chart0_jet`, whose x_1 slot here holds the exponent of the
-    w_0 deviation."""
-    t0 = _frac(t0)
-    N = len(mono) - 1
-    basis = monomial_basis(N, k)
-    out = [Fraction(0)] * len(basis)
-    p0 = mono[0]
-    tail = mono[2:]
-    w0 = 1 / t0
-    for idx, beta in enumerate(basis):
-        if beta[2:] != tail:
-            continue
-        b0 = beta[1]
-        if b0 > p0:
-            continue
-        out[idx] = binomial(p0, b0) * w0 ** (p0 - b0)
-    return tuple(out)
-
-
-def transition_consistency(
-    data: TransitionData,
-    N: int,
-    n: int,
-    k: int,
-    sample_points: Sequence[Scalar] = DEFAULT_SAMPLE_POINTS,
-) -> bool:
-    """Oracle for the cocycle: at each sample point t0 and for every degree-n
-    monomial, the closed-form chart-0 jet must equal T(t0) applied to the
-    closed-form chart-1 jet, exactly."""
-    if binomial(N + k, N) != data.rank:
-        raise ValueError("transition data does not match the parameters")
-    for t0 in sample_points:
-        t0 = _frac(t0)
-        if t0 == 0:
-            raise ValueError("sample points must be nonzero")
-        t_eval = data.matrix.evaluate(t0)
-        for mono in monomial_basis(N, n):
-            jet0 = chart0_jet(mono, t0, k)
-            jet1 = chart1_jet(mono, t0, k)
-            if t_eval.mat_vec(jet1) != jet0:
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # Twisted global sections and splitting extraction.
 # ---------------------------------------------------------------------------
 
@@ -425,39 +349,8 @@ def jet_splitting_check(
 
 
 # ---------------------------------------------------------------------------
-# Gauge helpers and JSON export.
+# JSON export.
 # ---------------------------------------------------------------------------
-
-def random_unimodular(
-    rank: int, rng: random.Random, inverse_variable: bool = False, ops: int = 6, height: int = 2
-) -> LaurentMatrix:
-    """Random unimodular matrix of polynomials in t (or in 1/t): a product of
-    elementary row additions, row swaps and sign flips, so the determinant is
-    a nonzero constant."""
-    sign_exp = -1 if inverse_variable else 1
-    rows = [
-        [LaurentPoly.const(int(i == j)) for j in range(rank)] for i in range(rank)
-    ]
-    for _ in range(ops):
-        kind = rng.randrange(3)
-        if kind == 0 and rank >= 2:
-            i = rng.randrange(rank)
-            j = rng.randrange(rank)
-            while j == i:
-                j = rng.randrange(rank)
-            deg = rng.randint(0, 2)
-            coeffs = {sign_exp * d: rng.randint(-height, height) for d in range(deg + 1)}
-            p = LaurentPoly.from_dict(coeffs)
-            rows[i] = [x + p * y for x, y in zip(rows[i], rows[j])]
-        elif kind == 1 and rank >= 2:
-            i = rng.randrange(rank)
-            j = rng.randrange(rank)
-            rows[i], rows[j] = rows[j], rows[i]
-        else:
-            i = rng.randrange(rank)
-            rows[i] = [x.scale(-1) for x in rows[i]]
-    return LaurentMatrix.from_rows(rows)
-
 
 def transition_to_json_dict(data: TransitionData) -> dict:
     """Row-major JSON form: each entry is a list of [exponent, "num/den"]

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator
 
-from .linalg import Scalar, Subspace, _frac
+from .linalg import Subspace
 
 MultiIndex = tuple[int, ...]
 
@@ -170,63 +170,3 @@ def codimension_identity(N: int, n: int, k: int) -> bool:
         and len(basis) - count_small == target
         and count_jet == target
     )
-
-
-@dataclass(frozen=True)
-class PolyVector:
-    """A homogeneous form as a coefficient vector over a monomial basis."""
-
-    basis: MonomialBasis
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != len(self.basis):
-            raise ValueError("coefficient count does not match basis size")
-
-    @staticmethod
-    def zero(basis: MonomialBasis) -> "PolyVector":
-        return PolyVector(basis, (Fraction(0),) * len(basis))
-
-    @staticmethod
-    def from_terms(basis: MonomialBasis, terms: Mapping[MultiIndex, Scalar]) -> "PolyVector":
-        coeffs = [Fraction(0)] * len(basis)
-        for mono, c in terms.items():
-            coeffs[basis.index_of(mono)] = _frac(c)
-        return PolyVector(basis, tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return self.basis.degree
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "PolyVector") -> "PolyVector":
-        if self.basis != other.basis:
-            raise ValueError("mismatched bases")
-        return PolyVector(self.basis, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c: Scalar) -> "PolyVector":
-        c = _frac(c)
-        return PolyVector(self.basis, tuple(c * x for x in self.coeffs))
-
-    def terms(self) -> dict[MultiIndex, Fraction]:
-        return {m: c for m, c in zip(self.basis.monomials, self.coeffs) if c != 0}
-
-
-def partial_derivative(f: PolyVector, var: int) -> PolyVector:
-    """d/dx_var of a homogeneous form, landing in the next degree down."""
-    N = f.basis.num_vars - 1
-    if not 0 <= var <= N:
-        raise ValueError(f"variable index {var} out of range")
-    n = f.degree
-    target = monomial_basis(N, max(n - 1, 0))
-    if n == 0:
-        return PolyVector.zero(target)
-    out = [Fraction(0)] * len(target)
-    for mono, c in zip(f.basis.monomials, f.coeffs):
-        if c == 0 or mono[var] == 0:
-            continue
-        lowered = mono[:var] + (mono[var] - 1,) + mono[var + 1 :]
-        out[target.index_of(lowered)] += c * mono[var]
-    return PolyVector(target, tuple(out))

@@ -11,15 +11,10 @@ import time
 from pplab.cli import run_sweep
 from pplab.jetmap import verify_jet_representation, verify_kernel
 from pplab.laurent import LaurentMatrix, LaurentPoly
-from pplab.splitting import (
-    DEFAULT_SAMPLE_POINTS,
-    TransitionData,
-    jet_transition_matrix,
-    random_unimodular,
-    splitting_type,
-    transition_consistency,
-)
+from pplab.splitting import TransitionData, jet_transition_matrix, splitting_type
 from pplab.symspace import binomial, codimension_identity, dim_sym, m_power_subspace
+
+from oracles import DEFAULT_SAMPLE_POINTS, random_unimodular, transition_consistency
 
 THEOREM_GRID = [(N, n, k) for N in (1, 2, 3) for n in range(2, 7) for k in range(1, n)]
 SPLITTING_GRID = [(N, n, k) for N in (1, 2) for n in range(2, 5) for k in range(0, n)]

@@ -450,102 +450,6 @@ def test_verify_corollary_verbose_builds_the_cocycle_once(capsys, monkeypatch):
     assert report["transition"] == transition_to_json_dict(jet_transition_matrix(2, 3, 1))
 
 
-@pytest.fixture
-def off_by_one_falling_factorial(monkeypatch):
-    # The wrong model: every falling factorial of the derivative map, and the
-    # ratios the trials compare, start one step too high. The kernels and
-    # the rank are unchanged, so only the equivariance trials can see it.
-    orig = jetmap._falling_factorial
-    monkeypatch.setattr(jetmap, "_falling_factorial", lambda p, s: orig(p + 1, s))
-
-
-def test_off_by_one_falling_factorial_fails_verify_theorem(capsys, off_by_one_falling_factorial):
-    code, out, _ = run(capsys, "verify-theorem", "--N", "2", "--n", "4", "--k", "2",
-                       "--trials", "20", "--output", "json")
-    assert code == 1
-    result = json.loads(out)["result"]
-    assert result["pass"] is False
-    assert result["equivariance_failures"] > 0
-
-
-def test_off_by_one_falling_factorial_fails_every_sweep_triple(capsys, off_by_one_falling_factorial):
-    # The triples of one N share their stabilizer elements; a fault must
-    # still show in every triple, not only in the first one of each N.
-    code, out, _ = run(capsys, "sweep", "--N", "1", "2", "3", "--n", "2", "3", "4", "5",
-                       "--trials", "20", "--output", "json")
-    assert code == 1
-    results = json.loads(out)["results"]
-    assert len(results) == 30
-    for row in results:
-        assert row["pass"] is False, (row["N"], row["n"], row["k"])
-        assert row["theorem"]["equivariance_failures"] > 0, (row["N"], row["n"], row["k"])
-
-
-@pytest.fixture(params=[1, -1], ids=["twist n-k+1", "twist n-k-1"])
-def wrong_twist(monkeypatch, request):
-    # The wrong target: the degree-k forms twisted by the P-character of
-    # n-k+1 or n-k-1 instead of n-k. Kernels and ranks do not see it.
-    orig = jetmap._scalar_character
-    monkeypatch.setattr(jetmap, "_scalar_character", lambda a, d: orig(a, d + request.param))
-
-
-def test_wrong_twist_fails_verify_theorem(capsys, wrong_twist):
-    code, out, _ = run(capsys, "verify-theorem", "--N", "2", "--n", "4", "--k", "2",
-                       "--trials", "20", "--output", "json")
-    assert code == 1
-    result = json.loads(out)["result"]
-    assert result["pass"] is False
-    assert result["equivariance_failures"] > 0
-
-
-def test_wrong_twist_fails_every_triple_of_a_one_n_sweep(capsys, wrong_twist):
-    # The triples of the one N share each element's expansion.
-    code, out, _ = run(capsys, "sweep", "--N", "3", "--n", "2", "3", "4", "5",
-                       "--trials", "20", "--output", "json")
-    assert code == 1
-    results = json.loads(out)["results"]
-    assert len(results) == 10
-    for row in results:
-        assert row["pass"] is False, (row["n"], row["k"])
-        assert row["theorem"]["equivariance_failures"] > 0, (row["n"], row["k"])
-
-
-@pytest.fixture
-def dual_action_without_transpose(monkeypatch):
-    # The wrong dual action: x_i goes to column i of g^-1 instead of row i.
-    # Kernels and ranks do not see it. The drawn inverse itself is right, so
-    # the first draw's Gauss-Jordan check passes and the fault must show as
-    # a counterexample, not as an internal error.
-    expand = jetmap._substitution_images
-
-    def transposed(b_rows, *rest):
-        return expand([list(col) for col in zip(*b_rows)], *rest)
-
-    monkeypatch.setattr(jetmap, "_substitution_images", transposed)
-
-
-def test_dual_action_without_transpose_fails_verify_theorem(capsys, dual_action_without_transpose):
-    code, out, _ = run(capsys, "verify-theorem", "--N", "2", "--n", "4", "--k", "2",
-                       "--trials", "20", "--output", "json")
-    assert code == 1
-    result = json.loads(out)["result"]
-    assert result["pass"] is False
-    assert result["equivariance_failures"] > 0
-
-
-def test_dual_action_without_transpose_fails_every_triple_of_a_one_n_sweep(
-    capsys, dual_action_without_transpose
-):
-    code, out, _ = run(capsys, "sweep", "--N", "3", "--n", "2", "3", "4", "5",
-                       "--trials", "20", "--output", "json")
-    assert code == 1
-    results = json.loads(out)["results"]
-    assert len(results) == 10
-    for row in results:
-        assert row["pass"] is False, (row["n"], row["k"])
-        assert row["theorem"]["equivariance_failures"] > 0, (row["n"], row["k"])
-
-
 def test_sweep_expands_each_element_once_per_n(capsys, monkeypatch):
     calls = []
     expand = jetmap._substitution_images

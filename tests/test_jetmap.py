@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -22,21 +21,25 @@ from pplab.parabolic import (
     _parabolic_from_rng,
     _scaled_inverse_rows,
     _substitution_images,
-    chi,
-    is_equivariant,
-    random_parabolic,
-    sym_action,
-    sym_rep,
-    target_rep,
 )
 from pplab.symspace import (
     ParameterError,
-    PolyVector,
     binomial,
     dim_sym,
     m_power_subspace,
     monomial_basis,
+)
+
+from oracles import (
+    PolyVector,
+    chi,
+    cleared_inverse,
+    identity_element,
+    is_equivariant,
     partial_derivative,
+    random_parabolic,
+    sym_action,
+    target_rep_action,
 )
 
 GRID = [(N, n, k) for N in (1, 2, 3) for n in range(2, 6) for k in range(1, n)]
@@ -154,18 +157,16 @@ def test_phi_is_equivariant_matrix_identity():
     # The literal intertwiner identity, through the public fraction-matrix ops.
     for (N, n, k) in [(1, 3, 1), (2, 3, 2), (2, 2, 1)]:
         phi = x0_derivative_matrix(N, n, k)
-        src = sym_rep(N, n)
-        dst = target_rep(N, n, k)
         for seed in range(10):
             g = random_parabolic(N, seed)
-            assert is_equivariant(phi, src, dst, g), (N, n, k, seed)
+            assert is_equivariant(phi, sym_action(g, n), target_rep_action(g, n, k)), (N, n, k, seed)
 
 
 def test_phi_equivariance_at_identity_is_trivial():
     for (N, n, k) in [(1, 2, 1), (2, 3, 2)]:
         phi = x0_derivative_matrix(N, n, k)
-        g = GroupElement.identity(N)
-        assert is_equivariant(phi, sym_rep(N, n), target_rep(N, n, k), g)
+        g = identity_element(N)
+        assert is_equivariant(phi, sym_action(g, n), target_rep_action(g, n, k))
 
 
 def test_chain_rule_identity():
@@ -229,16 +230,14 @@ def test_fast_path_agrees_with_matrix_path():
     # with the public fraction-matrix equivariance test on the same elements.
     for (N, n, k) in [(1, 3, 1), (2, 3, 1), (2, 3, 2), (3, 3, 1), (3, 4, 2)]:
         phi = x0_derivative_matrix(N, n, k)
-        src = sym_rep(N, n)
-        dst = target_rep(N, n, k)
         basis_k = monomial_basis(N, k)
         ff = [_falling_factorial(m[0] + (n - k), n - k) for m in basis_k]
         for seed in range(8):
             g = random_parabolic(N, seed)
             fast_phi, fast_quot = one_triple_checks(
-                g.parabolic_scalar, *_scaled_inverse_rows(g), N, n, k, ff
+                g.parabolic_scalar, *cleared_inverse(g.mat), N, n, k, ff
             )
-            assert fast_phi == is_equivariant(phi, src, dst, g)
+            assert fast_phi == is_equivariant(phi, sym_action(g, n), target_rep_action(g, n, k))
             assert fast_quot  # implied by the full identity here
 
 
@@ -254,21 +253,20 @@ def test_trial_checks_reject_off_by_one_falling_factorials():
         basis_k = monomial_basis(N, k)
         for shift in (-1, 1):
             ff = [_falling_factorial(m[0] + (n - k) + shift, n - k) for m in basis_k]
-            checks = one_triple_checks(g.parabolic_scalar, *_scaled_inverse_rows(g), N, n, k, ff)
+            checks = one_triple_checks(g.parabolic_scalar, *cleared_inverse(g.mat), N, n, k, ff)
             assert checks == (False, False), (N, n, k, shift)
 
 
 def test_trial_checks_reject_an_element_that_moves_the_line():
     # First column (1, 1, 0, ...): the element does not fix the base point,
     # so the small-x_0 span is not invariant. GroupElement refuses such a
-    # matrix as a stabilizer, so it is passed as a bare (mat, scalar) record.
+    # matrix as a stabilizer, so it is passed as its bare matrix, with a = 1.
     for (N, n, k) in [(1, 3, 1), (2, 3, 2), (3, 4, 2)]:
         rows = [[int(i == j) for j in range(N + 1)] for i in range(N + 1)]
         rows[1][0] = 1
-        g = SimpleNamespace(mat=RationalMatrix.from_rows(rows), parabolic_scalar=Fraction(1))
         basis_k = monomial_basis(N, k)
         ff = [_falling_factorial(m[0] + (n - k), n - k) for m in basis_k]
-        element = (g.parabolic_scalar, *_scaled_inverse_rows(g))
+        element = (Fraction(1), *cleared_inverse(RationalMatrix.from_rows(rows)))
         phi_ok, _ = one_triple_checks(*element, N, n, k, ff)
         assert not phi_ok, (N, n, k)
         # The block-triangularity half of phi_ok is computed on its own: with
@@ -452,12 +450,11 @@ def test_shared_expansion_rejects_an_element_that_moves_the_line():
     for (N, n, k) in [(1, 3, 1), (2, 4, 2), (3, 4, 1)]:
         rows = [[int(i == j) for j in range(N + 1)] for i in range(N + 1)]
         rows[1][0] = 1
-        g = SimpleNamespace(mat=RationalMatrix.from_rows(rows), parabolic_scalar=Fraction(1))
-        b_rows, c = _scaled_inverse_rows(g)
+        b_rows, c = cleared_inverse(RationalMatrix.from_rows(rows))
         shared = _substitution_images(b_rows, N, n + 1, k + 1)
         ff = [_falling_factorial(m[0] + (n - k), n - k) for m in monomial_basis(N, k)]
-        assert not _trial_checks(shared, g.parabolic_scalar, c, n, k, ff)[0], (N, n, k)
-        assert _trial_checks(shared, g.parabolic_scalar, c, n, k, [0] * len(ff)) == (False, True)
+        assert not _trial_checks(shared, Fraction(1), c, n, k, ff)[0], (N, n, k)
+        assert _trial_checks(shared, Fraction(1), c, n, k, [0] * len(ff)) == (False, True)
 
 
 def test_reports_of_one_pass_equal_the_one_triple_reports():

@@ -99,7 +99,7 @@ def test_subspace_equal_full_space():
 
 def test_subspace_equal_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        subspace_equal(Subspace.zero(2), Subspace.zero(3))
+        subspace_equal(Subspace(2, ()), Subspace(3, ()))
 
 
 @settings(deadline=None, max_examples=60)
@@ -129,7 +129,7 @@ def test_rank_nullity(m):
 @settings(deadline=None, max_examples=100)
 @given(any_matrices)
 def test_sparse_rank_matches_rref(m):
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m.iter_rows()]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m.to_rows()]
     assert _sparse_rank(rows) == len(_naive_gauss_jordan(m.to_rows())[1])
 
 
@@ -194,7 +194,7 @@ def test_from_vectors_takes_dense_or_mapping_vectors(m):
     want = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in want_rows if any(row))
     dense = Subspace.from_vectors(m.to_rows(), m.cols)
     # The same vectors as {column: value} mappings, with some zero values named.
-    mappings = [{j: x for j, x in enumerate(row) if x or j % 2} for row in m.iter_rows()]
+    mappings = [{j: x for j, x in enumerate(row) if x or j % 2} for row in m.to_rows()]
     assert Subspace.from_vectors(mappings, m.cols) == dense
     assert dense.rows == want
 
@@ -342,14 +342,14 @@ def _mixed_rows(m):
     """Sparse rows of m with integral entries as int, the rest as Fraction."""
     return [
         {j: x.numerator if x.denominator == 1 else x for j, x in enumerate(row) if x}
-        for row in m.iter_rows()
+        for row in m.to_rows()
     ]
 
 
 def _cleared(m):
     """m with each row multiplied by the lcm of its denominators."""
     return RationalMatrix.from_rows(
-        [[x * lcm(*(y.denominator for y in row)) for x in row] for row in m.iter_rows()],
+        [[x * lcm(*(y.denominator for y in row)) for x in row] for row in m.to_rows()],
         cols=m.cols,
     )
 
@@ -360,7 +360,7 @@ def test_eliminate_is_exact_on_int_and_mixed_rows(m):
     # int values must give the integer pivot rows of the same values as
     # Fractions, never float ones, and canonical rows over the rationals.
     for mat in (m, _cleared(m)):
-        fraction_rows = [{j: x for j, x in enumerate(row) if x} for row in mat.iter_rows()]
+        fraction_rows = [{j: x for j, x in enumerate(row) if x} for row in mat.to_rows()]
         got = linalg._eliminate(_mixed_rows(mat), reduced=True)
         assert got == linalg._eliminate(fraction_rows, reduced=True)
         assert all(type(x) is int for row in got.values() for x in row.values())

@@ -11,20 +11,23 @@ from hypothesis import assume, given, settings, strategies as st
 from pplab import laurent, splitting
 from pplab.laurent import LaurentMatrix, LaurentPoly, block_components, det_laurent
 from pplab.splitting import (
-    DEFAULT_SAMPLE_POINTS,
     TransitionData,
     _section_space_dim,
-    chart0_jet,
-    chart1_jet,
     h0_twisted,
     jet_splitting_check,
     jet_transition_matrix,
-    random_unimodular,
     splitting_type,
-    transition_consistency,
     transition_to_json_dict,
 )
 from pplab.symspace import ParameterError, binomial, monomial_basis
+
+from oracles import (
+    DEFAULT_SAMPLE_POINTS,
+    chart0_jet,
+    chart1_jet,
+    random_unimodular,
+    transition_consistency,
+)
 from test_linalg import _naive_gauss_jordan
 
 
@@ -523,7 +526,8 @@ def window_degrees(data):
     twist at a time until g(a) = 0 and g(b) = rank; the multiplicity of
     degree -m is then g(m) - g(m-1)."""
     e_det, rho = data.det_exponent, data.rank
-    lo, hi = data.matrix.exponent_range()
+    exponents = [e for p in data.matrix.entries for e, _ in p.coeffs]
+    lo, hi = min(exponents), max(exponents)
     window_cap = rho * (abs(lo) + abs(hi) + 1) + abs(e_det) + 1
     h0 = {}
 

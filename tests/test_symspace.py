@@ -12,12 +12,10 @@ from hypothesis import given, settings, strategies as st
 import pplab
 from pplab.linalg import Subspace
 from pplab.jetmap import taylor_fiber_matrix
-from pplab.parabolic import random_parabolic, sym_action
 from pplab.splitting import jet_transition_matrix
 from pplab.symspace import (
     MonomialBasis,
     ParameterError,
-    PolyVector,
     binomial,
     check_corollary_regime,
     check_jet_regime,
@@ -26,8 +24,9 @@ from pplab.symspace import (
     dim_sym,
     m_power_subspace,
     monomial_basis,
-    partial_derivative,
 )
+
+from oracles import PolyVector, partial_derivative, random_parabolic, sym_action
 
 
 def test_basis_two_vars_degree_two():
@@ -284,7 +283,7 @@ def test_partial_derivatives_commute(N, n, seed):
 def _mult_by_var(f: PolyVector, var: int) -> PolyVector:
     # Multiplication by x_var, implemented locally for the Euler test.
     N = f.basis.num_vars - 1
-    target = monomial_basis(N, f.degree + 1)
+    target = monomial_basis(N, f.basis.degree + 1)
     terms = {}
     for mono, c in f.terms().items():
         raised = mono[:var] + (mono[var] + 1,) + mono[var + 1 :]
