@@ -251,12 +251,14 @@ def run_sweep(
     results = []
     overall = True
     for N in sorted(set(n_values)):
-        degrees = [
-            (n, k)
-            for n in sorted(set(degree_values))
-            for k in range(1, n)
-            if k_values is None or k in k_values
-        ]
+        degrees = []
+        for n in sorted(set(degree_values)):
+            # Each triple is checked as it is listed, so a size its regime
+            # refuses stops the listing before range(1, n) runs long.
+            for k in (range(1, n) if k_values is None else sorted(set(k_values))):
+                if 1 <= k < n:
+                    check_theorem_regime(N, n, k)
+                    degrees.append((n, k))
         if not degrees:
             continue
         theorems = verify_jet_representations(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .linalg import RationalMatrix, kernel_basis, rref, subspace_equal
+from .linalg import RationalMatrix, _dense, kernel_basis, rref, subspace_equal
 from .parabolic import (
     _group_element,
     _parabolic_from_rng,
@@ -28,6 +28,8 @@ from .parabolic import (
     _substitution_images,
 )
 from .symspace import (
+    MAX_SIZE,
+    ParameterError,
     binomial,
     check_theorem_regime,
     dim_sym,
@@ -43,42 +45,37 @@ def _falling_factorial(p: int, steps: int) -> int:
     return out
 
 
-def x0_derivative_matrix(N: int, n: int, k: int) -> RationalMatrix:
-    """Matrix of the (n-k)-fold derivative d^(n-k)/dx_0^(n-k) from degree-n
-    to degree-k monomials. Each monomial maps to at most one monomial, so the
-    matrix is a scaled selection; it is surjective of rank binom(k+N, N)."""
+def _section_weights(N: int, n: int, k: int) -> list[int]:
+    """The falling factorials that d^(n-k)/dx_0^(n-k) puts on its section,
+    the first binom(N+k, N) degree-n monomials. Raises ArithmeticError
+    unless monomial i of the section is x_0^(n-k) times degree-k monomial i
+    and the next one has x_0-exponent below n-k."""
+    steps, jets, monos = n - k, monomial_basis(N, k).monomials, monomial_basis(N, n).monomials
+    section = monos[: len(jets)]
+    if [(m[0] - steps, *m[1:]) for m in section] != list(jets) or monos[len(jets)][0] >= steps:
+        raise ArithmeticError(f"degree-{n} monomials are not x_0^{steps} times degree-{k} ones")
+    return [_falling_factorial(m[0], steps) for m in section]
+
+
+def _section_matrix(N: int, n: int, k: int, weighted: bool) -> RationalMatrix:
     check_theorem_regime(N, n, k)
-    basis_n = monomial_basis(N, n)
-    basis_k = monomial_basis(N, k)
-    steps = n - k
-    entries = [Fraction(0)] * (len(basis_k) * len(basis_n))
-    for col, mono in enumerate(basis_n):
-        if mono[0] >= steps:
-            image = (mono[0] - steps,) + mono[1:]
-            row = basis_k.index_of(image)
-            entries[row * len(basis_n) + col] = Fraction(_falling_factorial(mono[0], steps))
-    return RationalMatrix(len(basis_k), len(basis_n), tuple(entries))
+    weights = _section_weights(N, n, k)
+    rows = [((i, Fraction(w if weighted else 1)),) for i, w in enumerate(weights)]
+    return _dense(rows, len(rows), len(monomial_basis(N, n)))
+
+
+def x0_derivative_matrix(N: int, n: int, k: int) -> RationalMatrix:
+    """Matrix of the derivative map d^(n-k)/dx_0^(n-k) from degree-n to
+    degree-k monomials, of rank binom(k+N, N): `_section_weights` on the
+    diagonal of its first columns."""
+    return _section_matrix(N, n, k, weighted=True)
 
 
 def taylor_fiber_matrix(N: int, n: int, k: int) -> RationalMatrix:
     """Matrix sending a degree-n form F to the coefficients of u^tau,
-    |tau| <= k, in F(1, u_1, ..., u_N): order-k Taylor data at the base
-    point, stored as plain monomial coefficients (no factorials).
-
-    The jet u^tau is indexed by the degree-k monomial x_0^(k-|tau|) x^tau, so
-    the coefficient of a degree-n monomial lands in the row that
-    `x0_derivative_matrix` sends it to: the two maps share their row index.
-    """
-    check_theorem_regime(N, n, k)
-    basis_n = monomial_basis(N, n)
-    basis_k = monomial_basis(N, k)
-    steps = n - k
-    entries = [Fraction(0)] * (len(basis_k) * len(basis_n))
-    for col, mono in enumerate(basis_n):
-        if mono[0] >= steps:
-            row = basis_k.index_of((mono[0] - steps,) + mono[1:])
-            entries[row * len(basis_n) + col] = Fraction(1)
-    return RationalMatrix(len(basis_k), len(basis_n), tuple(entries))
+    |tau| <= k, in F(1, u_1, ..., u_N), the order-k Taylor data at the base
+    point: 1 where the derivative map has its weights."""
+    return _section_matrix(N, n, k, weighted=False)
 
 
 def verify_kernel(N: int, n: int, k: int) -> bool:
@@ -137,9 +134,10 @@ def _trial_elements(
     random.Random(seed). Each draw is the inverse h = g^-1 of its element,
     and yields g's corner scalar a = 1/b and the integer rows B and clearing
     denominator c of h, g^-1 = B / c. Every draw's B and c come through
-    `_scaled_inverse_rows`, which checks det g = 1 exactly in integers, so a
-    fault in the draw raises ArithmeticError instead of failing the trials
-    as if it were a counterexample. The first element is also built as a
+    `_scaled_inverse_rows`, which checks in integers that B / c lies in P
+    with corner 1/a and determinant 1, so a fault in the draw raises
+    ArithmeticError instead of failing the trials as if it were a
+    counterexample. The first element is also built as a
     `GroupElement`, the inverse of the rational h by
     `RationalMatrix.inverse`, which checks its determinant, shape and corner
     a; its B / c is compared with its inverse by `RationalMatrix.inverse`.
@@ -178,30 +176,27 @@ def _trial_checks(
     necessarily in lowest terms, which a common factor of both sides of
     every comparison does not change.
 
-    The derivative map reads only the degree-n monomials of x_0-exponent
-    >= n-k (the section, the first dim_k of the basis, aligned
-    index-for-index with the degree-k basis by construction, since dividing
-    by x_0^(n-k) keeps the descending-lexicographic order; the Taylor map
-    writes each to the same row), which are the terms that survive modulo
+    The derivative map reads only its section, the first dim_k degree-n
+    monomials, which `_section_weights` checks are x_0^(n-k) times the
+    degree-k monomials of the same index: the terms that survive modulo
     (x_1, ..., x_N)^(k+1). The levels are taken modulo the smaller ideal
     (x_1, ..., x_N)^(max_k+1); both quotient maps are ring maps, and the
-    one to the larger ideal drops exactly the keys from
-    binom(k+N, N) = dim_k up. So the degree-n images restricted to keys
-    below dim_k are the ones the triple reads, and the degree-k images,
-    k <= max_k, are complete. Images are keyed by basis index, so the
-    section row of a degree-n key is the key itself.
+    one to the larger ideal drops exactly the keys from dim_k up. So the
+    degree-n images restricted to keys below dim_k are the ones the triple
+    reads, and the degree-k images, k <= max_k, are complete. Images are
+    keyed by basis index, so the section row of a degree-n key is the key.
 
     quot_ok compares, column by column, q * ff[row] times the restricted
     image of each section monomial with p * ff[col] times the degree-k
-    image (taken as empty when ff[col] is 0), where ff[i] is the falling
-    factorial the derivative map puts on section monomial i. It walks the
-    degree-n image's terms with key below dim_k and ff[key] nonzero, each a
-    nonzero integer, compares each with its term on the right (0 if absent),
-    and counts them: all equal and as many as the right has terms means the
-    two sides are the same sparse vector. The first unequal column ends the
-    checks. phi_ok adds the block-triangularity of the degree-n action: no
-    monomial outside the section may have a key below dim_k in its image,
-    i.e. each must stay in the small-x_0 span. It takes the least key of the
+    image (taken as empty when ff[col] is 0), where ff is
+    `_section_weights(N, n, k)`. It walks the degree-n image's terms with
+    key below dim_k and ff[key] nonzero, each a nonzero integer, compares
+    each with its term on the right (0 if absent), and counts them: all
+    equal and as many as the right has terms means the two sides are the
+    same sparse vector. The first unequal column ends the checks. phi_ok
+    adds the block-triangularity of the degree-n action: no monomial
+    outside the section may have a key below dim_k in its image, i.e. each
+    must stay in the small-x_0 span. It takes the least key of the
     nonempty images outside the section in one pass.
     """
     img_n, img_k = levels[n], levels[k]
@@ -239,10 +234,7 @@ def _equivariance_pass(
     `_trial_checks`). Each element's expansion is checked against every
     triple and then dropped, so no more than one is held at a time.
     """
-    ffs = [
-        [_falling_factorial(mono[0] + (n - k), n - k) for mono in monomial_basis(N, k)]
-        for n, k in degrees
-    ]
+    ffs = [_section_weights(N, n, k) for n, k in degrees]
     max_n = max(n for n, _ in degrees)
     max_k = max(k for _, k in degrees)
     failures = [0] * len(degrees)
@@ -272,8 +264,8 @@ def verify_jet_representations(
         raise ValueError("require at least one (n, k)")
     for n, k in degrees:
         check_theorem_regime(N, n, k)
-    if trials < 1:
-        raise ValueError(f"require trials >= 1, got trials={trials}")
+    if not 1 <= trials <= MAX_SIZE:
+        raise ParameterError(f"require 1 <= trials <= {MAX_SIZE}, got trials={trials}")
     tallies = _equivariance_pass(N, degrees, trials, seed, height)
     return [
         verify_jet_representation(N, n, k, trials, seed, height, _tally=tally)
@@ -298,8 +290,9 @@ def verify_jet_representation(
     the rank of the derivative map, and then for `trials` random stabilizer
     elements that the derivative map intertwines the degree-n action with the
     twisted degree-k action and that the induced map on the monomial section
-    (x_0-exponent >= n-k) is an invertible intertwiner. Raises ValueError
-    when `trials` is below 1, which would pass with no equivariance evidence.
+    (x_0-exponent >= n-k) is an invertible intertwiner. Raises
+    ParameterError when `trials` is below 1, which would pass with no
+    equivariance evidence, or above MAX_SIZE.
 
     The trials are the one-triple case of `_equivariance_pass`: with
     max_n = n and max_k = k, each element is expanded modulo exactly the
@@ -308,8 +301,8 @@ def verify_jet_representation(
     triples and hands each its (failures, quotient_ok) as `_tally`.
     """
     check_theorem_regime(N, n, k)
-    if trials < 1:
-        raise ValueError(f"require trials >= 1, got trials={trials}")
+    if not 1 <= trials <= MAX_SIZE:
+        raise ParameterError(f"require 1 <= trials <= {MAX_SIZE}, got trials={trials}")
     if _tally is None:
         (_tally,) = _equivariance_pass(N, [(n, k)], trials, seed, height)
     failures, quotient_ok = _tally

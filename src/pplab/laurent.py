@@ -133,19 +133,6 @@ class LaurentPoly:
             raise ArithmeticError("non-exact Laurent division")
         return LaurentPoly.from_dict(quot)
 
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in self.coeffs:
-            if e == 0:
-                parts.append(f"{c}")
-            elif e == 1:
-                parts.append(f"{c}*t")
-            else:
-                parts.append(f"{c}*t^{e}")
-        return " + ".join(parts)
-
 
 @dataclass(frozen=True)
 class LaurentMatrix:

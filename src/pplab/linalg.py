@@ -135,10 +135,6 @@ class RationalMatrix:
         out = [Fraction(pivots[i].get(n + j, 0), pivots[i][i]) for i in range(n) for j in range(n)]
         return RationalMatrix(n, n, tuple(out))
 
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-        return f"RationalMatrix({self.rows}x{self.cols}: {body})"
-
 
 def _sparse_rows(m: RationalMatrix) -> list[dict[int, Fraction]]:
     return [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]

@@ -130,15 +130,21 @@ def _scaled_inverse_rows(draw: Draw) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Rows of g^-1 = h cleared to integers: (rows, c) with g^-1 = rows / c,
     the draw's `Draw.cleared_rows` and `Draw.clearing`.
 
-    The draw is checked exactly before they are returned, so a fault in it
-    raises ArithmeticError: det g = det E = 1, by `linalg._det` on the
-    integer rows of the block E (the corner b and the row scaled by 1/b
-    cancel).
+    The rows B are checked exactly before they are returned, so a fault in
+    the draw raises ArithmeticError: B[i][0] = 0 for i >= 1, B[0][0] = c b,
+    and det B = c^(N+1), by `linalg._det`. Together they make B / c an
+    element of P with corner b and determinant 1, so g is one with corner
+    a = 1/b.
     """
-    det = _det([dict(enumerate(row)) for row in draw.block])
-    if det != 1:
-        raise ArithmeticError(f"a drawn element has determinant {det}, not 1")
-    return draw.cleared_rows(), draw.clearing
+    rows, c = draw.cleared_rows(), draw.clearing
+    if rows[0][0] != c * draw.b or any(row[0] for row in rows[1:]):
+        raise ArithmeticError("a drawn element's inverse has a wrong corner or first column")
+    det = _det([dict(enumerate(row)) for row in rows])
+    if det != c ** len(rows):
+        raise ArithmeticError(
+            f"a drawn element's inverse has determinant {det / c ** len(rows)}, not 1"
+        )
+    return rows, c
 
 
 @lru_cache(maxsize=None)

@@ -13,11 +13,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .linalg import Subspace
 
 MultiIndex = tuple[int, ...]
+
+# The largest N, binom(N+n, N) of a theorem triple and binom(N+k, N) of a
+# jet cocycle that a regime admits, and the most trials a verification
+# draws. It admits every size the tests, CI and the benchmark use (462 at
+# most) and the sweep over N 1-5 and n 2-8 (1287 at most), and refuses the
+# sizes whose enumeration would never end.
+MAX_SIZE = 2000
 
 
 class ParameterError(ValueError):
@@ -43,12 +51,15 @@ def binomial(n: int, k: int) -> int:
 
 
 def _compositions_desc(total: int, parts: int) -> Iterator[MultiIndex]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions_desc(total - first, parts - 1):
-            yield (first,) + rest
+    """Exponent tuples of `parts` variables summing to `total`, descending
+    lexicographically: the multisets of variables, in the lexicographic order
+    of `combinations_with_replacement`, count down from x_0^total. No
+    recursion, so the number of variables is not bounded by the stack."""
+    for combo in combinations_with_replacement(range(parts), total):
+        exps = [0] * parts
+        for var in combo:
+            exps[var] += 1
+        yield tuple(exps)
 
 
 @dataclass(frozen=True, eq=True)
@@ -105,22 +116,40 @@ def dim_sym(N: int, n: int) -> int:
     return closed
 
 
+def _check_size(N: int, d: int, name: str) -> None:
+    """Refuse N or binom(N+d, N) above MAX_SIZE, for N >= 1 and d >= 0. The
+    partial products binom(N+i, i) grow with i, so the loop stops as soon as
+    one passes the bound, after at most MAX_SIZE steps."""
+    size = 1
+    for i in range(1, d + 1):
+        size = size * (N + i) // i
+        if size > MAX_SIZE:
+            break
+    if max(N, size) > MAX_SIZE:
+        raise ParameterError(
+            f"require N and binom(N+{name}, N) at most {MAX_SIZE}, got N={N}, {name}={d}"
+        )
+
+
 def check_theorem_regime(N: int, n: int, k: int) -> None:
     """The theorem's regime: the P-representation on the fibre of J^k(O(n))."""
     if N < 1 or not 1 <= k < n:
         raise ParameterError(f"require N >= 1 and 1 <= k < n, got N={N}, n={n}, k={k}")
+    _check_size(N, n, "n")
 
 
 def check_jet_regime(N: int, n: int, k: int) -> None:
     """The regime of the jet cocycle on a line."""
     if N < 1 or n < 1 or k < 0:
         raise ParameterError(f"require N >= 1, n >= 1, k >= 0, got N={N}, n={n}, k={k}")
+    _check_size(N, k, "k")
 
 
 def check_corollary_regime(N: int, n: int, k: int) -> None:
     """The regime of the splitting corollary."""
     if N < 1 or not 0 <= k < n:
         raise ParameterError(f"require N >= 1 and 0 <= k < n, got N={N}, n={n}, k={k}")
+    _check_size(N, k, "k")
 
 
 def m_power_subspace(N: int, n: int, k: int) -> Subspace:

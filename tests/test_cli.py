@@ -464,11 +464,25 @@ def test_sweep_expands_each_element_once_per_n(capsys, monkeypatch):
     assert calls == [1] * 3 + [2] * 3 + [3] * 3
 
 
-@pytest.fixture(params=["determinant"])
+@pytest.fixture(params=["determinant", "corner"])
 def faulty_later_draw(monkeypatch, request):
-    # A fault in the integer draw that shows only on draw 2 of a pass, after
-    # the first draw's Gauss-Jordan comparison: a block E of determinant 2.
+    # A fault in the integer draw that shows only on a later draw of a pass,
+    # after the first draw's Gauss-Jordan comparison: a block E of
+    # determinant 2 on draw 2, or B[0][0] + 1 in the cleared rows of draw 3.
     # It must surface as an internal error, not as failed trials.
+    if request.param == "corner":
+        cleared = parabolic.Draw.cleared_rows
+        calls = []
+
+        def faulty_rows(draw):
+            rows = cleared(draw)
+            calls.append(rows)
+            if len(calls) != 4:
+                return rows
+            return ((rows[0][0] + 1, *rows[0][1:]), *rows[1:])
+
+        monkeypatch.setattr(parabolic.Draw, "cleared_rows", faulty_rows)
+        return request.param
     draw = parabolic._parabolic_from_rng
     count = [0]
 

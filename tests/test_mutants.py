@@ -4,9 +4,10 @@ Each row plants a fault in a computation, never in a verdict line, by a
 monkeypatch. The first table names a report field: with the fault, the
 command's exit code turns from 0 to 1 and that field reads false (a count of
 failures reads above 0) on every triple of the report. The rows after it
-plant faults in the checks of `splitting_type`, and show that the check
-meant to catch each one fails: the library raises ArithmeticError, and a
-command that reaches the fault exits 3 (internal error), never 0 or 1.
+plant faults in the checks of `splitting_type` and in the section the
+fiber maps and the trials read, and show that the check meant to catch each
+one fails: the library raises ArithmeticError, and a command that reaches
+the fault exits 3 (internal error), never 0 or 1.
 
 `quotient_iso_equivariant` has no row of its own: the trials find the
 quotient map wrong only where they also count an equivariance failure, and
@@ -23,7 +24,7 @@ from pplab import cli, jetmap, splitting, symspace
 from pplab.laurent import LaurentPoly
 from pplab.linalg import RationalMatrix, Subspace
 from pplab.splitting import splitting_type
-from pplab.symspace import dim_sym, monomial_basis
+from pplab.symspace import MonomialBasis, dim_sym, monomial_basis
 
 from test_cli import non_uniform_cocycle, run
 from test_splitting import criterion_6_cases, workload_shaped_cases
@@ -271,3 +272,32 @@ def test_a_fault_in_either_route_turns_a_counterexample_into_an_internal_error(
     assert code == 3, (out, err)
     assert err.startswith("internal error: ArithmeticError")
 
+
+def section_out_of_line(monkeypatch):
+    """jetmap reads each degree-2 basis with its first two monomials
+    swapped, so on a triple with n = 2 or k = 2 the section no longer lines
+    up index for index with the degree-k basis. Unchecked, both fiber maps
+    permute alike, so the kernels and the rank pass and only the trials
+    fail, as if the theorem did."""
+    basis = jetmap.monomial_basis
+
+    def swapped(N, d):
+        found = basis(N, d)
+        if d != 2:
+            return found
+        first, second, *rest = found.monomials
+        return MonomialBasis(found.num_vars, d, (second, first, *rest))
+
+    monkeypatch.setattr(jetmap, "monomial_basis", swapped)
+
+
+@pytest.mark.parametrize("argv", [THEOREM, SWEEP], ids=["verify-theorem", "sweep"])
+def test_a_section_out_of_line_with_the_degree_k_basis_is_an_internal_error(
+    capsys, monkeypatch, argv
+):
+    assert run(capsys, *argv)[0] == 0
+    section_out_of_line(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 3, (out, err)
+    assert out == ""
+    assert err.startswith("internal error: ArithmeticError: degree-") and err.count("\n") == 1

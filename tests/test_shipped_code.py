@@ -1,8 +1,9 @@
-"""Every module-level function and class of `src/pplab` is code the program
-runs: the commands of CI's `python -O` verification step, run in process,
-and one splitting of a gauged cocycle that is not uniform, which reaches
-column reduction and the Bareiss determinant, enter each of them. Code that
-only tests enter belongs in `tests/oracles.py`.
+"""Every module-level function and class of `src/pplab`, and every method
+written in a class body, is code the program runs: the commands of CI's
+`python -O` verification step, run in process, and one splitting of a
+gauged cocycle that is not uniform, which reaches column reduction and the
+Bareiss determinant, enter each of them. Code that only tests enter belongs
+in `tests/oracles.py`.
 """
 
 import inspect
@@ -14,12 +15,30 @@ from pplab.laurent import LaurentMatrix, LaurentPoly
 
 MODULES = (pplab, cli, jetmap, laurent, linalg, parabolic, splitting, symspace)
 
-# Entered outside the commands, and kept on purpose.
+# Entered outside the commands, and kept on purpose, each for its one user.
 ALLOWED = {
     # The kernels workload of the benchmark calls it; no command does.
     "pplab.jetmap.verify_kernel",
-    # The dense view of a reduced form, which `--trace 1` and tests read.
-    "pplab.linalg._dense",
+    # perfbench/jobs.py builds its gauged cocycles with them.
+    "pplab.laurent.LaurentMatrix.__matmul__",
+    "pplab.laurent.LaurentMatrix.diagonal",
+    "pplab.laurent.LaurentMatrix.identity",
+    # perfbench/tracer.py reads the dense view of each reduced form.
+    "pplab.linalg.RrefResult.matrix",
+    # tests/oracles.py: the identity element, the group product, the dual
+    # action's transpose, the cleared inverse and the transition check.
+    "pplab.linalg.RationalMatrix.identity",
+    "pplab.linalg.RationalMatrix.__matmul__",
+    "pplab.linalg.RationalMatrix.transpose",
+    "pplab.linalg.RationalMatrix.to_rows",
+    "pplab.linalg.RationalMatrix.mat_vec",
+    # tests/oracles.py evaluates the cocycle entrywise in the transition check.
+    "pplab.laurent.LaurentMatrix.evaluate",
+    "pplab.laurent.LaurentPoly.evaluate",
+    # tests/test_linalg.py: the kernel of a zero matrix, and kernel vectors
+    # checked against their matrix.
+    "pplab.linalg.RationalMatrix.zero",
+    "pplab.linalg.Subspace.basis",
 }
 
 # The commands of CI's `python -O` verification step, with the exit code
@@ -53,19 +72,27 @@ def code_objects(value):
     class."""
     if not inspect.isclass(value):
         return {inspect.unwrap(value).__code__}
-    codes = set()
-    for member in vars(value).values():
+    return set(members(value).values())
+
+
+def members(cls):
+    """{name: code} of the methods, properties and static methods of a
+    class, including those a dataclass or NamedTuple generates."""
+    codes = {}
+    for name, member in vars(cls).items():
         for attr in ("__func__", "fget", "func"):
             member = getattr(member, attr, member)
         if inspect.isfunction(member):
-            codes.add(member.__code__)
+            codes[name] = member.__code__
     return codes
 
 
 def definitions():
     """{qualified name: code objects} of every function and class defined in
-    a pplab module. A class with no code of its own, such as an exception
-    type, has nothing to enter and is left out."""
+    a pplab module, and of every method written in a class body. A class
+    with no code of its own, such as an exception type, has nothing to
+    enter and is left out; the methods a dataclass or NamedTuple generates
+    are not in the module's source file, and count only for their class."""
     found = {}
     for module in MODULES:
         for name, value in vars(module).items():
@@ -75,6 +102,10 @@ def definitions():
                 codes = code_objects(value)
                 if codes:
                     found[f"{module.__name__}.{name}"] = codes
+            if inspect.isclass(value):
+                for method, code in members(value).items():
+                    if code.co_filename == module.__file__:
+                        found[f"{module.__name__}.{name}.{method}"] = {code}
     return found
 
 

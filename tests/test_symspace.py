@@ -14,6 +14,7 @@ from pplab.linalg import Subspace
 from pplab.jetmap import taylor_fiber_matrix
 from pplab.splitting import jet_transition_matrix
 from pplab.symspace import (
+    MAX_SIZE,
     MonomialBasis,
     ParameterError,
     binomial,
@@ -181,6 +182,51 @@ def test_each_regime_is_checked_at_its_edges(check, inside, outside):
     for triple in outside:
         with pytest.raises(ParameterError):
             check(*triple)
+
+
+HUGE = 10**20
+
+
+@pytest.mark.parametrize(
+    "check,inside,outside",
+    [
+        (
+            check_theorem_regime,
+            [(1, MAX_SIZE - 1, 1), (5, 8, 7)],
+            [(1, MAX_SIZE, 1), (30, 30, 1), (2, HUGE, 1), (HUGE, 3, 1), (HUGE, HUGE, 1)],
+        ),
+        (
+            check_jet_regime,
+            [(MAX_SIZE, 1, 0), (1, HUGE, MAX_SIZE - 1)],
+            [(MAX_SIZE + 1, 1, 0), (1, 1, MAX_SIZE), (HUGE, 3, 1), (1, 3, HUGE)],
+        ),
+        (
+            check_corollary_regime,
+            [(MAX_SIZE, 1, 0), (1, HUGE, 1)],
+            [(MAX_SIZE + 1, 1, 0), (1, MAX_SIZE + 1, MAX_SIZE), (HUGE, 3, 1)],
+        ),
+    ],
+    ids=["theorem", "jet", "corollary"],
+)
+def test_each_regime_bounds_its_sizes(check, inside, outside):
+    # The theorem bounds binom(N+n, N); the jet cocycle and the corollary
+    # bound N and binom(N+k, N), the cocycle's rank, whatever n is.
+    for triple in inside:
+        check(*triple)
+    for triple in outside:
+        with pytest.raises(ParameterError, match=f"at most {MAX_SIZE}"):
+            check(*triple)
+
+
+def test_monomial_basis_is_not_recursive():
+    # The jet regime admits N up to MAX_SIZE, and a recursion over the
+    # variables would overflow the default recursion limit of 1000.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(min(limit, 1000))
+    try:
+        assert monomial_basis(MAX_SIZE, 0).monomials == ((0,) * (MAX_SIZE + 1),)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @pytest.mark.parametrize(
